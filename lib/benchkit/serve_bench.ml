@@ -90,11 +90,11 @@ let oracle_of_spec s =
     Engine.Config.make ~plane:s.plane ~policy:s.policy ~domains:1
       ~obs:Obs.noop ()
   in
-  let result, stats = Engine.run cfg db strategy in
+  let hash, stats = Engine.execute_digest cfg db (Engine.lower cfg db strategy) in
   {
     rows = stats.Engine.result_rows;
     tau = stats.Engine.tuples_generated;
-    hash = Protocol.hash_hex (Protocol.result_hash result);
+    hash = Protocol.hash_hex hash;
     steps = Json.to_string (Protocol.steps_json stats.Engine.per_step);
   }
 

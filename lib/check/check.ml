@@ -470,7 +470,16 @@ let serve_differential db s =
           Engine.Config.make ~plane ~domains:1 ~policy:Planner.Hash_all
             ~obs:Obs.noop ()
         in
-        let r, stats = Engine.run cold_cfg db strat in
+        let hash, stats =
+          Engine.execute_digest cold_cfg db (Engine.lower cold_cfg db strat)
+        in
+        (* The frame plane digests without decoding; pin its digest to
+           the seed reference relation's so the oracle stays
+           independent of the path under test. *)
+        let reference = Protocol.result_hash (Cost.eval db strat) in
+        if hash <> reference then
+          fail "serve:digest" "%s: cold digest %s ≠ seed reference %s" where
+            (Protocol.hash_hex hash) (Protocol.hash_hex reference);
         let expect name v =
           match serve_response_field name line with
           | Some got when got = v -> ()
@@ -482,8 +491,7 @@ let serve_differential db s =
         in
         expect "rows" (Json.int stats.Engine.result_rows);
         expect "tau" (Json.int stats.Engine.tuples_generated);
-        expect "hash"
-          (Json.str (Protocol.hash_hex (Protocol.result_hash r)));
+        expect "hash" (Json.str (Protocol.hash_hex hash));
         match serve_response_field "steps" line with
         | Some steps
           when Json.to_string steps

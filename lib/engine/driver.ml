@@ -28,7 +28,6 @@ module type PLANE = sig
   val cardinality : item -> int
   val note_step : ctx -> int -> unit
   val algo_label : Physical.algorithm -> string
-  val to_relation : ctx -> Scheme.t -> item -> Relation.t
 end
 
 type step_log = {
@@ -203,7 +202,8 @@ module Make (P : PLANE) = struct
               end;
               (out_scheme, it))
     in
+    (* The result leaves undecoded: the backend decides whether it
+       becomes a relation or only a digest. *)
     let out_scheme, item = Obs.span obs P.root_span (fun () -> run plan) in
-    let result = P.to_relation ctx out_scheme item in
-    (result, { tuples_generated = !generated; per_step = List.rev !steps })
+    (out_scheme, item, { tuples_generated = !generated; per_step = List.rev !steps })
 end

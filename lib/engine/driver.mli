@@ -86,7 +86,6 @@ module type PLANE = sig
       counters such as the seed peak-materialization tracker). *)
 
   val algo_label : Physical.algorithm -> string
-  val to_relation : ctx -> Scheme.t -> item -> Relation.t
 end
 
 type step_log = {
@@ -100,5 +99,9 @@ val scheme_key : Scheme.Set.t -> string
 
 module Make (P : PLANE) : sig
   val execute :
-    obs:Mj_obs.Obs.sink -> P.ctx -> Physical.t -> Relation.t * step_log
+    obs:Mj_obs.Obs.sink -> P.ctx -> Physical.t ->
+    Attr.Set.t * P.item * step_log
+  (** Walk the plan inside one [P.root_span] span and return the
+      result's scheme and its {e undecoded} item: the backend decides
+      whether it becomes a relation or only a digest. *)
 end

@@ -130,13 +130,19 @@ type stats = {
 module type BACKEND = sig
   val plane : plane
 
-  val execute : Config.t -> Database.t -> Physical.t -> Relation.t * stats
+  val execute :
+    ?fdb:Frame.Db.t -> Config.t -> Database.t -> Physical.t -> Relation.t * stats
+
+  val execute_digest :
+    ?fdb:Frame.Db.t -> Config.t -> Database.t -> Physical.t -> int64 * stats
 end
 
 module Seed_backend = struct
   let plane = Seed
 
-  let execute (cfg : Config.t) db plan =
+  (* The seed plane's warm state is the config's index cache; a frame
+     encoding means nothing here. *)
+  let execute ?fdb:_ (cfg : Config.t) db plan =
     let r, (s : Exec.stats) =
       Exec.execute ~obs:cfg.obs ~cache:cfg.index_cache db plan
     in
@@ -149,27 +155,38 @@ module Seed_backend = struct
         seed = Some s;
         frame = None;
       } )
+
+  let execute_digest ?fdb (cfg : Config.t) db plan =
+    let r, stats = execute ?fdb cfg db plan in
+    (Obs.span cfg.obs "digest" (fun () -> Relation.digest r), stats)
 end
 
 module Frame_backend = struct
   let plane = Frame
 
-  let execute_warm ?fdb (cfg : Config.t) db plan =
-    let r, (s : Frame_engine.stats) =
+  let stats_of (s : Frame_engine.stats) =
+    {
+      plane;
+      tuples_generated = s.tuples_generated;
+      result_rows = s.result_rows;
+      per_step = s.per_step;
+      seed = None;
+      frame = Some s;
+    }
+
+  let execute ?fdb (cfg : Config.t) db plan =
+    let r, s =
       Frame_engine.execute_plan ~obs:cfg.obs ~domains:cfg.domains
         ?morsel:cfg.morsel ~storage:cfg.frame_storage ?fdb db plan
     in
-    ( r,
-      {
-        plane;
-        tuples_generated = s.tuples_generated;
-        result_rows = s.result_rows;
-        per_step = s.per_step;
-        seed = None;
-        frame = Some s;
-      } )
+    (r, stats_of s)
 
-  let execute cfg db plan = execute_warm cfg db plan
+  let execute_digest ?fdb (cfg : Config.t) db plan =
+    let h, s =
+      Frame_engine.digest_plan ~obs:cfg.obs ~domains:cfg.domains
+        ?morsel:cfg.morsel ~storage:cfg.frame_storage ?fdb db plan
+    in
+    (h, stats_of s)
 end
 
 let backend = function
@@ -180,13 +197,11 @@ let lower (cfg : Config.t) db strategy =
   Planner.lower ~policy:cfg.algo_policy ~indexes:cfg.index_cache db strategy
 
 let execute_plan ?fdb (cfg : Config.t) db plan =
-  (* A warm frame dictionary only means something on the frame plane;
-     the seed plane ignores it (its warm state is the index cache the
-     config already carries). *)
-  match (cfg.plane, fdb) with
-  | Frame, Some _ -> Frame_backend.execute_warm ?fdb cfg db plan
-  | _ ->
-      let (module B) = backend cfg.plane in
-      B.execute cfg db plan
+  let (module B) = backend cfg.plane in
+  B.execute ?fdb cfg db plan
+
+let execute_digest ?fdb (cfg : Config.t) db plan =
+  let (module B) = backend cfg.plane in
+  B.execute_digest ?fdb cfg db plan
 
 let run ?fdb cfg db strategy = execute_plan ?fdb cfg db (lower cfg db strategy)

@@ -16,7 +16,7 @@
             │                          │
             ▼                          ▼
        backend plane  ───────►   Driver walker  ──►  Relation.t * stats
-       (Seed | Frame)            (spans, τ log)
+       (Seed | Frame)            (spans, τ log)      or int64 digest * stats
     v}
 
     The two planes implement the same {!Driver.PLANE} signature —
@@ -118,13 +118,21 @@ type stats = {
 }
 
 (** What a data plane looks like from above: execute an annotated plan
-    under a config.  (The per-operator surface both planes implement is
+    under a config, ending in the decoded result or only its digest.
+    (The per-operator surface both planes implement is
     {!Driver.PLANE}; this is the coarser interface the dispatcher
-    needs.) *)
+    needs.)  [?fdb] is a warm frame encoding of the database; the seed
+    plane ignores it. *)
 module type BACKEND = sig
   val plane : plane
 
-  val execute : Config.t -> Database.t -> Physical.t -> Relation.t * stats
+  val execute :
+    ?fdb:Mj_relation.Frame.Db.t ->
+    Config.t -> Database.t -> Physical.t -> Relation.t * stats
+
+  val execute_digest :
+    ?fdb:Mj_relation.Frame.Db.t ->
+    Config.t -> Database.t -> Physical.t -> int64 * stats
 end
 
 module Seed_backend : BACKEND
@@ -145,6 +153,15 @@ val execute_plan :
     frame plane (seed executions keep their warm state in the config's
     index cache) and is never mutated, so one encoding can back
     concurrent executions. *)
+
+val execute_digest :
+  ?fdb:Mj_relation.Frame.Db.t ->
+  Config.t -> Database.t -> Physical.t -> int64 * stats
+(** {!execute_plan}, answering [Relation.digest] of the result instead
+    of the result — the hash every served answer carries, bit for bit.
+    The seed plane decodes and digests; the frame plane digests the
+    result frame directly ([Frame.digest]) and never builds a
+    relation.  The digest runs in a ["digest"] span. *)
 
 val run :
   ?fdb:Mj_relation.Frame.Db.t ->

@@ -344,16 +344,16 @@ module Seed_plane = struct
     note_materialized ctx.c n
 
   let algo_label = Physical.algorithm_name
-  let to_relation _ctx scheme tuples = Relation.make scheme tuples
 end
 
 module Drive = Driver.Make (Seed_plane)
 
 let execute ?(obs = Obs.noop) ?(cache = index_cache ()) db plan =
   let c = fresh () in
-  let result, (log : Driver.step_log) =
+  let scheme, tuples, (log : Driver.step_log) =
     Drive.execute ~obs { Seed_plane.c; cache; db } plan
   in
+  let result = Relation.make scheme tuples in
   Obs.merge_registry obs c.reg;
   ( result,
     {

@@ -104,12 +104,11 @@ module Frame_plane = struct
   let cardinality = Frame.cardinality
   let note_step _ctx _n = ()
   let algo_label _ = "frame-hash"
-  let to_relation _ctx _scheme f = Frame.to_relation f
 end
 
 module Drive = Driver.Make (Frame_plane)
 
-let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
+let execute_frame ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
     ?fdb db plan =
   (* Adaptive cutover: a tiny database is executed single-domain
      whatever the configured worker count — the non-partitioned join
@@ -137,7 +136,7 @@ let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
       jprobe = Obs.histogram obs "join.probes";
     }
   in
-  let result, (log : Driver.step_log) = Drive.execute ~obs ctx plan in
+  let _, result, (log : Driver.step_log) = Drive.execute ~obs ctx plan in
   let dict_size = Frame.Dict.size (Frame.Db.dict ctx.fdb) in
   if Obs.enabled obs then begin
     Obs.add obs "exec.tuples_generated" log.tuples_generated;
@@ -150,7 +149,7 @@ let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
   ( result,
     {
       tuples_generated = log.tuples_generated;
-      result_rows = Relation.cardinality result;
+      result_rows = Frame.cardinality result;
       dict_size;
       probes = ctx.fstats.probes;
       probe_hits = ctx.fstats.probe_hits;
@@ -158,6 +157,23 @@ let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
       morsels = ctx.fstats.morsels;
       per_step = log.per_step;
     } )
+
+(* The frame result leaves the plane in one of two ways, each in its
+   own span so a trace attributes the time: decoded to a relation, or
+   only hashed to the wire digest. *)
+let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
+    ?fdb db plan =
+  let f, stats =
+    execute_frame ~obs ?domains ?par_threshold ?morsel ?storage ?fdb db plan
+  in
+  (Obs.span obs "decode" (fun () -> Frame.to_relation f), stats)
+
+let digest_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
+    ?fdb db plan =
+  let f, stats =
+    execute_frame ~obs ?domains ?par_threshold ?morsel ?storage ?fdb db plan
+  in
+  (Obs.span obs "digest" (fun () -> Frame.digest f), stats)
 
 let execute ?obs ?domains ?par_threshold ?morsel ?storage db strategy =
   execute_plan ?obs ?domains ?par_threshold ?morsel ?storage db

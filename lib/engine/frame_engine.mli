@@ -65,5 +65,14 @@ val execute_plan :
     across queries.  The caller guarantees it encodes exactly [db];
     execution never mutates it, so one encoding may be shared by
     concurrent executions.  When present, [?storage] is ignored (the
-    row store was chosen at encode time).
+    row store was chosen at encode time).  The decode runs in a
+    ["decode"] span after the ["execute-frame"] root closes.
     @raise Invalid_argument if a scanned scheme is missing from [db]. *)
+
+val digest_plan :
+  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?par_threshold:int ->
+  ?morsel:int -> ?storage:Frame.storage -> ?fdb:Frame.Db.t ->
+  Database.t -> Physical.t -> int64 * stats
+(** {!execute_plan} with [Frame.digest] of the result frame, in a
+    ["digest"] span, in place of the decode — the result hash of {!execute_plan}'s relation
+    ([Relation.digest]), bit for bit, without ever decoding it. *)

@@ -57,10 +57,28 @@ let run_w ?domains ?(chunk = 1) (tasks : (worker:int -> 'a) array) =
        which matters when the tasks are sub-millisecond morsels.
        Results are merged in task-index order, so the output is
        deterministic whatever the interleaving. *)
+    (* With the kill failpoint armed, the calling domain waits on a
+       start latch until spawned worker 1 has made its first claim, so
+       "a spawned worker dies holding claimed work" happens on every
+       multicore run instead of only when worker 1 wins the race for
+       the first chunk.  Unarmed runs never wait. *)
+    let latch =
+      if Mj_failpoint.Failpoint.active Pool_worker_kill then Some (Atomic.make false)
+      else None
+    in
     let worker ~id () =
       let spawned = id > 0 in
+      (match latch with
+      | Some l when id = 0 ->
+          while not (Atomic.get l) do
+            Domain.cpu_relax ()
+          done
+      | _ -> ());
       let rec loop ~first =
         let base = Atomic.fetch_and_add next chunk in
+        (match latch with
+        | Some l when id = 1 && first -> Atomic.set l true
+        | _ -> ());
         if base < n then begin
           (* The kill failpoint takes a spawned worker down after it has
              claimed (but not completed) its first batch — the worst

@@ -19,7 +19,10 @@
     for a crashed domain) is {e not} an error — the pool degrades
     gracefully by finishing every unclaimed or abandoned task in the
     calling domain, so results are identical to a healthy run.  Any
-    other exception still propagates. *)
+    other exception still propagates.  While the failpoint is armed the
+    calling domain starts claiming tasks only after spawned worker 1
+    has made its first claim, so on a multicore host the kill fires on
+    every run, whatever the scheduling. *)
 
 val set_env_domains : int -> unit
 (** Register the process-wide default worker count (clamped to ≥ 1).

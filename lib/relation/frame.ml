@@ -13,12 +13,19 @@ module Dict = struct
     codes : (Value.t, int) Hashtbl.t;
     mutable values : Value.t array; (* decode table, dense prefix *)
     mutable size : int;
+    mutable ordered : bool; (* codes ascend in [Value.compare] order *)
   }
 
   let create ?(hint = 256) () =
-    { codes = Hashtbl.create hint; values = Array.make 64 (Value.int 0); size = 0 }
+    {
+      codes = Hashtbl.create hint;
+      values = Array.make 64 (Value.int 0);
+      size = 0;
+      ordered = true;
+    }
 
   let size d = d.size
+  let ordered d = d.ordered
 
   let intern d v =
     match Hashtbl.find_opt d.codes v with
@@ -30,6 +37,7 @@ module Dict = struct
           Array.blit d.values 0 bigger 0 c;
           d.values <- bigger
         end;
+        if c > 0 && Value.compare d.values.(c - 1) v > 0 then d.ordered <- false;
         d.values.(c) <- v;
         Hashtbl.add d.codes v c;
         d.size <- c + 1;
@@ -41,6 +49,35 @@ module Dict = struct
     if c < 0 || c >= d.size then
       invalid_arg "Frame.Dict.value: code out of range";
     d.values.(c)
+
+  (* The one ranking every value-ordered consumer shares: all codes,
+     sorted by value.  Callers skip it when the dictionary is ordered
+     (it is then the identity).  Nothing is cached: serve shares one
+     dictionary read-only across domains. *)
+  let by_value d =
+    let codes = Array.init d.size Fun.id in
+    Array.sort (fun a b -> Value.compare d.values.(a) d.values.(b)) codes;
+    codes
+
+  let rank_of by_value =
+    let rank = Array.make (Array.length by_value) 0 in
+    Array.iteri (fun r c -> rank.(c) <- r) by_value;
+    rank
+
+  (* Renumber the codes into value order; returns the old-code -> new-
+     code map, or [None] when the codes already ascend. *)
+  let renumber d =
+    if d.ordered then None
+    else begin
+      let by_value = by_value d in
+      let values = Array.make (Array.length d.values) (Value.int 0) in
+      Array.iteri (fun r c -> values.(r) <- d.values.(c)) by_value;
+      let rank = rank_of by_value in
+      Hashtbl.filter_map_inplace (fun _ c -> Some rank.(c)) d.codes;
+      d.values <- values;
+      d.ordered <- true;
+      Some rank
+    end
 end
 
 (* ------------------------------------------------------------------ *)
@@ -275,7 +312,9 @@ let canonicalize_par ~domains w nrows data =
 (* ------------------------------------------------------------------ *)
 (* Conversion                                                          *)
 
-let of_relation ?(storage = Heap) dict r =
+(* Intern [r]'s values in source order and pack its rows (not yet
+   canonical: code order need not follow value order). *)
+let encode dict r =
   let scheme = Relation.scheme r in
   let attrs = Array.of_list (Attr.Set.elements scheme) in
   let w = Array.length attrs in
@@ -290,97 +329,102 @@ let of_relation ?(storage = Heap) dict r =
         (Tuple.bindings tu);
       incr i)
     r;
-  (* Code order need not follow Value order, so re-sort into canonical
-     form (the source set is already duplicate-free). *)
+  (scheme, attrs, n, data)
+
+(* The source set is duplicate-free, so [canonicalize] only re-sorts —
+   and skips even that when the codes follow value order. *)
+let of_encoded ~storage dict (scheme, attrs, n, data) =
+  let w = Array.length attrs in
   let rows, data = canonicalize w n data in
   { scheme; attrs; width = w; rows; data = Store.of_heap storage (rows * w) data;
     dict }
 
+let of_relation ?(storage = Heap) dict r =
+  of_encoded ~storage dict (encode dict r)
+
+(* A frame's rows in value order, as a cell reader: row [i], column [j]
+   is cell [i * width + j] and reads back as a code.  With an ordered
+   dictionary the canonical rows already are in value order — for
+   same-scheme tuples [Tuple.compare] is exactly lexicographic value
+   order over the sorted attribute columns.  Otherwise every cell is
+   remapped to its value rank and the rows are re-sorted with the
+   comparison-free counting sort; the rank is injective, so rows stay
+   distinct and the row count is unchanged. *)
+let value_ordered f =
+  if Dict.ordered f.dict then Store.get f.data
+  else begin
+    let by_value = Dict.by_value f.dict in
+    let rank = Dict.rank_of by_value in
+    let ncells = f.rows * f.width in
+    let ranked = Array.init ncells (fun c -> rank.(Store.get f.data c)) in
+    let _, sorted = canonicalize f.width f.rows ranked in
+    fun cell -> by_value.(sorted.(cell))
+  end
+
 let to_relation f =
   (* Rows are distinct and uniformly over [f.scheme] by construction,
      so decode rides the trusted constructors: no per-binding duplicate
-     probe, no per-tuple scheme check, one sorting pass for the set.
-
-     That sorting pass compares whole tuples (attribute maps), so it is
-     the expensive part — and it halves in cost when the input is
-     already in [Tuple.compare] order.  Frame rows are sorted by
-     dictionary {e code}, not by [Value.compare], so translate the
-     codes present in this frame to value-order ranks, remap the rows
-     and re-sort them with the comparison-free counting sort; for
-     same-scheme tuples [Tuple.compare] is exactly lexicographic value
-     order over the sorted attribute columns, so the emitted list is
-     already sorted. *)
+     probe, no per-tuple scheme check, one sorting pass for the set —
+     fed in [Tuple.compare] order, where it costs least. *)
   let w = f.width in
   if f.rows = 0 then Relation.of_uniform_tuples f.scheme []
   else begin
-    let ncells = f.rows * w in
-    let max_code = ref 0 in
-    for c = 0 to ncells - 1 do
-      let v = Store.get f.data c in
-      if v > !max_code then max_code := v
+    let code = value_ordered f in
+    let value cell = Dict.value f.dict (code cell) in
+    (* Consecutive sorted rows share leading column values, so each
+       tuple is the previous one with only the changed columns rebound
+       — unchanged map nodes are shared, not rebuilt. *)
+    let prev = Array.make w (Value.int 0) in
+    let cur = ref Tuple.empty in
+    let tuples = ref [] in
+    for r = 0 to f.rows - 1 do
+      let base = r * w in
+      if r = 0 then
+        cur :=
+          Tuple.of_columns f.attrs (fun j ->
+              let v = value (base + j) in
+              prev.(j) <- v;
+              v)
+      else
+        for j = 0 to w - 1 do
+          let v = value (base + j) in
+          if not (Value.equal v prev.(j)) then begin
+            cur := Tuple.set !cur f.attrs.(j) v;
+            prev.(j) <- v
+          end
+        done;
+      tuples := !cur :: !tuples
     done;
-    let rank = Array.make (!max_code + 1) (-1) in
-    for c = 0 to ncells - 1 do
-      rank.(Store.get f.data c) <- 0
-    done;
-    let present = ref [] in
-    for code = !max_code downto 0 do
-      if rank.(code) >= 0 then present := code :: !present
-    done;
-    let codes = Array.of_list !present in
-    Array.sort
-      (fun c1 c2 -> Value.compare (Dict.value f.dict c1) (Dict.value f.dict c2))
-      codes;
-    Array.iteri (fun r code -> rank.(code) <- r) codes;
-    (* When interning happened to assign codes in value order the rows
-       are already in tuple order; otherwise remap every cell
-       code -> rank and re-sort with the comparison-free LSD counting
-       sort.  Rank is injective, so rows stay distinct and the row
-       count is unchanged. *)
-    let monotone =
-      let rec go i =
-        i >= Array.length codes || (codes.(i - 1) < codes.(i) && go (i + 1))
-      in
-      go 1
-    in
-    let decode rowval =
-      (* Consecutive sorted rows share leading column values, so each
-         tuple is the previous one with only the changed columns
-         rebound — unchanged map nodes are shared, not rebuilt. *)
-      let prev = Array.make w (Value.int 0) in
-      let cur = ref Tuple.empty in
-      let tuples = ref [] in
-      for r = 0 to f.rows - 1 do
-        let base = r * w in
-        if r = 0 then
-          cur :=
-            Tuple.of_columns f.attrs (fun j ->
-                let v = rowval (base + j) in
-                prev.(j) <- v;
-                v)
-        else
-          for j = 0 to w - 1 do
-            let v = rowval (base + j) in
-            if not (Value.equal v prev.(j)) then begin
-              cur := Tuple.set !cur f.attrs.(j) v;
-              prev.(j) <- v
-            end
-          done;
-        tuples := !cur :: !tuples
-      done;
-      Relation.of_uniform_tuples f.scheme (List.rev !tuples)
-    in
-    if monotone then decode (fun cell -> Dict.value f.dict (Store.get f.data cell))
-    else begin
-      let ranked = Array.make ncells 0 in
-      for c = 0 to ncells - 1 do
-        ranked.(c) <- rank.(Store.get f.data c)
-      done;
-      let _, sorted = canonicalize w f.rows ranked in
-      let vals = Array.map (Dict.value f.dict) codes in
-      decode (fun cell -> vals.(sorted.(cell)))
-    end
+    Relation.of_uniform_tuples f.scheme (List.rev !tuples)
   end
+
+(* [Relation.digest (to_relation f)] without the relation: the same
+   byte stream, streamed from the value-ordered rows.  Each code is
+   rendered at most once per call, on first use; the table is local to
+   the call, so a dictionary shared across domains is never written. *)
+let digest f =
+  let d = Result_digest.create f.scheme in
+  if f.rows > 0 then begin
+    let code = value_ordered f in
+    let values = f.dict.Dict.values in
+    let n = Dict.size f.dict in
+    let rendered = Array.make n "" and seen = Bytes.make n '\000' in
+    let render c =
+      if Bytes.get seen c = '\000' then begin
+        rendered.(c) <- Value.to_string values.(c);
+        Bytes.set seen c '\001'
+      end;
+      rendered.(c)
+    in
+    for r = 0 to f.rows - 1 do
+      let base = r * f.width in
+      for j = 0 to f.width - 1 do
+        Result_digest.rendered d j (render (code (base + j)))
+      done;
+      Result_digest.end_row d
+    done
+  end;
+  Result_digest.finish d
 
 let equal f1 f2 =
   Attr.Set.equal f1.scheme f2.scheme
@@ -1014,14 +1058,14 @@ let generic_join ?stats ~order frames =
       }
 
 (* Ranked (top-k) enumeration.  The leapfrog DFS above enumerates
-   assignments in lexicographic *code* order, but codes are interned in
-   first-seen order, so code order says nothing about value order.  The
-   fix is the decode path's rank trick run forwards: sort the
-   dictionary's codes once by their values, remap every input frame
-   into rank space (a bijection, so canonical rows stay distinct), and
-   run the same DFS there — level keys now ascend in value order, hence
-   emissions stream out in exactly [Tuple.compare] order and the first
-   [k] of them are the top-k.  The DFS stops dead once the budget is
+   assignments in lexicographic *code* order.  Over an ordered
+   dictionary (every [Db.of_database] one) code order is value order,
+   so level keys ascend in value order, emissions stream out in exactly
+   [Tuple.compare] order and the first [k] of them are the top-k.  Over
+   a dictionary [intern] left unordered, the decode path's rank trick
+   runs forwards: rank the codes by value, remap every input frame into
+   rank space (a bijection, so canonical rows stay distinct), and run
+   the same DFS there.  The DFS stops dead once the budget is
    spent, so the work is bounded by the trie prefix the k results
    touch, not by the size of the full join. *)
 let topk ?stats ~order ~k frames =
@@ -1059,22 +1103,24 @@ let topk ?stats ~order ~k frames =
       in
       if k <= 0 || List.exists (fun f -> f.rows = 0) frames then empty_result ()
       else begin
-        let dict = f0.dict in
-        let ncodes = Dict.size dict in
-        let by_value = Array.init ncodes Fun.id in
-        Array.sort
-          (fun a b -> Value.compare (Dict.value dict a) (Dict.value dict b))
-          by_value;
-        let rank = Array.make (max 1 ncodes) 0 in
-        Array.iteri (fun r c -> rank.(c) <- r) by_value;
-        let remap f =
-          let w = f.width in
-          let buf = Array.make (max 1 (f.rows * w)) 0 in
-          for i = 0 to (f.rows * w) - 1 do
-            buf.(i) <- rank.(Store.get f.data i)
-          done;
-          let rows, data = canonicalize w f.rows buf in
-          { f with rows; data = Store.of_heap Heap (rows * w) data }
+        (* With an ordered dictionary codes already are ranks; otherwise
+           rank them by value and remap every frame into rank space. *)
+        let by_value, remap =
+          if Dict.ordered f0.dict then (None, Fun.id)
+          else begin
+            let by_value = Dict.by_value f0.dict in
+            let rank = Dict.rank_of by_value in
+            let remap f =
+              let w = f.width in
+              let buf = Array.make (max 1 (f.rows * w)) 0 in
+              for i = 0 to (f.rows * w) - 1 do
+                buf.(i) <- rank.(Store.get f.data i)
+              done;
+              let rows, data = canonicalize w f.rows buf in
+              { f with rows; data = Store.of_heap Heap (rows * w) data }
+            in
+            (Some by_value, remap)
+          end
         in
         let tries =
           Array.of_list (List.map (fun f -> Trie.of_frame ~order (remap f)) frames)
@@ -1105,9 +1151,10 @@ let topk ?stats ~order ~k frames =
           buf_reserve b w;
           let d = b.bdata and o = b.blen in
           for j = 0 to w - 1 do
+            let v = vals.(Array.unsafe_get lvl_of_col j) in
             (* Back from rank space to codes as the row is emitted. *)
             Array.unsafe_set d (o + j)
-              by_value.(vals.(Array.unsafe_get lvl_of_col j))
+              (match by_value with Some b -> b.(v) | None -> v)
           done;
           b.blen <- o + w;
           decr remaining
@@ -1131,7 +1178,8 @@ let topk ?stats ~order ~k frames =
         if nlv > 0 then go 0;
         (* The k emitted rows are value-lexicographically least; one
            counting sort in code space restores the frame's canonical
-           (code-sorted) row order. *)
+           (code-sorted) row order — a sortedness check alone when the
+           dictionary is ordered. *)
         let rows, data = canonicalize w (b.blen / w) b.bdata in
         {
           scheme = out_scheme;
@@ -1151,13 +1199,26 @@ module Db = struct
 
   type t = { ddict : Dict.t; dstorage : storage; frames : frame Scheme.Map.t }
 
+  (* Intern every relation in source order, then renumber the
+     dictionary once into value order and remap the cells.  Source
+     tuples arrive in [Tuple.compare] order, so the remapped rows are
+     already canonical and [canonicalize] only runs its sortedness
+     check. *)
   let of_database ?(storage = Heap) db =
     let ddict = Dict.create () in
+    let encoded = List.map (encode ddict) (Database.relations db) in
+    let remap = Dict.renumber ddict in
     let frames =
       List.fold_left
-        (fun acc r ->
-          Scheme.Map.add (Relation.scheme r) (of_relation ~storage ddict r) acc)
-        Scheme.Map.empty (Database.relations db)
+        (fun acc ((scheme, attrs, n, data) as e) ->
+          (match remap with
+          | Some rank ->
+              for c = 0 to (n * Array.length attrs) - 1 do
+                Array.unsafe_set data c rank.(Array.unsafe_get data c)
+              done
+          | None -> ());
+          Scheme.Map.add scheme (of_encoded ~storage ddict e) acc)
+        Scheme.Map.empty encoded
     in
     { ddict; dstorage = storage; frames }
 

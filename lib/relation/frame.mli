@@ -23,6 +23,16 @@
     workers, the merge in morsel-index order plus the final sort-unique
     pass yields bit-identical data.
 
+    {e Ordered dictionaries.}  A database's dictionary is renumbered
+    into value order when it is built ({!Db.of_database}), and the
+    algebra never interns, so every frame of a database — base or
+    derived — has codes that ascend in [Value.compare] order and
+    canonical rows that are already in [Tuple.compare] order.  That is
+    what lets {!digest} hash a join result straight from its packed
+    rows, and {!to_relation}/{!topk} skip ranking the dictionary.  A
+    dictionary that {!Dict.intern} grew out of order reports it
+    ({!Dict.ordered}), and those consumers then rank by value.
+
     The public algebra mirrors {!Relation}; [to_relation (of_relation
     dict r) = r] for every state, and each operation agrees with its
     seed counterpart (certified by [test/test_frame.ml] and the
@@ -50,6 +60,16 @@ module Dict : sig
 
   val value : t -> int -> Value.t
   (** Decode.  @raise Invalid_argument if the code is out of range. *)
+
+  val ordered : t -> bool
+  (** [true] iff codes ascend in [Value.compare] order: [value d i <
+      value d j] whenever [i < j].  A fresh dictionary is ordered,
+      {!Db.of_database} returns one renumbered into value order, and
+      {!intern} clears the flag for good when it appends a value below
+      the largest one so far.  Over an ordered dictionary a canonical
+      frame's rows are in [Tuple.compare] order, so {!to_relation},
+      {!digest} and {!topk} read them as they are instead of ranking
+      the dictionary by value on every call. *)
 end
 
 (** {1 Row storage} *)
@@ -96,6 +116,13 @@ val of_relation : ?storage:storage -> Dict.t -> Relation.t -> t
 val to_relation : t -> Relation.t
 (** Decode back to the seed representation.  Round-trip identity:
     [Relation.equal (to_relation (of_relation d r)) r]. *)
+
+val digest : t -> int64
+(** [digest f = Relation.digest (to_relation f)], computed without
+    decoding: the canonical rows are streamed into the hash in value
+    order (directly over an ordered dictionary, through one value
+    ranking otherwise), each code rendered to its string at most once
+    per call.  This is the result hash every served answer carries. *)
 
 val scheme : t -> Attr.Set.t
 val cardinality : t -> int
@@ -232,11 +259,12 @@ val generic_join : ?stats:stats -> order:Attr.t list -> t list -> t
 val topk : ?stats:stats -> order:Attr.t list -> k:int -> t list -> t
 (** [topk ~order ~k frames] is the [k] lexicographically least tuples
     (by {!Tuple.compare} over the output scheme) of the natural join of
-    [frames], computed without materializing the join: the dictionary's
-    codes are ranked by value once, the frames are remapped into rank
-    space (one counting sort each), and the leapfrog DFS of
-    {!generic_join} runs there with an emission budget — level keys
-    then ascend in {e value} order, so the first [k] emissions are the
+    [frames], computed without materializing the join: the leapfrog
+    DFS of {!generic_join} runs with an emission budget in value order
+    — directly over an {!Dict.ordered} dictionary, otherwise after the
+    codes are ranked by value once and the frames remapped into rank
+    space (one counting sort each) — so level keys ascend in {e value}
+    order, and the first [k] emissions are the
     answer and the DFS stops dead.  [order] must be the sorted
     attributes of the union scheme for the ranking to equal
     [Tuple.compare]; with [k] at least the full output size the result
@@ -257,6 +285,11 @@ module Db : sig
       dictionary and one row-store backend. *)
 
   val of_database : ?storage:storage -> Database.t -> t
+  (** Encode every relation against one fresh dictionary.  Values are
+      interned in source order, then the dictionary is renumbered once
+      into value order, so it is {!Dict.ordered} and every frame's
+      canonical rows are in [Tuple.compare] order. *)
+
   val dict : t -> Dict.t
 
   val storage : t -> storage

@@ -241,3 +241,20 @@ let pp_brief fmt r =
   Format.fprintf fmt "%a(%d)" Attr.Set.pp r.scheme (cardinality r)
 
 let to_string r = Format.asprintf "%a" pp r
+
+(* Streamed straight into the digest in set order, which already is
+   [Tuple.compare] order. *)
+let digest r =
+  let d = Result_digest.create r.scheme in
+  let j = ref 0 in
+  let column _ v =
+    Result_digest.value d !j v;
+    incr j
+  in
+  Tuple_set.iter
+    (fun tu ->
+      j := 0;
+      Tuple.iter column tu;
+      Result_digest.end_row d)
+    r.tuples;
+  Result_digest.finish d

@@ -113,3 +113,11 @@ val pp_brief : Format.formatter -> t -> unit
 (** Prints [scheme(card)] only, e.g. [AB(4)]. *)
 
 val to_string : t -> string
+
+(** {1 Digest} *)
+
+val digest : t -> int64
+(** The result digest every served answer carries (byte stream and
+    hash: {!Result_digest}).  Equal relations have equal digests.
+    [Frame.digest] computes the same value straight from a frame's
+    packed rows. *)

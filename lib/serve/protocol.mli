@@ -109,8 +109,13 @@ val steps_json : (Scheme.Set.t * int) list -> Mj_obs.Json.t
 (** {1 Result digests} *)
 
 val result_hash : Relation.t -> int64
-(** Order-independent FNV-1a digest over the sorted tuple renderings
-    and the scheme — equal iff the relations are equal, cheap enough
-    to compute on every response. *)
+(** Order-independent FNV-1a digest over the scheme and the tuple
+    renderings in sorted order — equal iff the relations are equal
+    (up to 64-bit collisions), cheap enough to compute on every
+    response.  It is {!Relation.digest}; the frame plane computes the
+    same value without decoding ([Frame.digest]).  The byte stream it
+    hashes, and so every hash on the wire, is unchanged since the
+    protocol's first version: a client or oracle built against an
+    older daemon compares equal. *)
 
 val hash_hex : int64 -> string

@@ -349,6 +349,131 @@ let engines_agree =
       && frame_st.Mj_engine.Frame_engine.result_rows
          = Relation.cardinality frame_r)
 
+(* ------------------------------------------------------------------ *)
+(* Ordered dictionaries and the frame-native digest                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A chain database over mixed [Int]/[Str] values — negative ints,
+   the empty string, and strings holding the rendering's own
+   separators — so the digest's byte stream is exercised beyond
+   non-negative ints. *)
+let gen_mixed_db =
+  let open QCheck2.Gen in
+  let pool =
+    [|
+      Value.int (-3); Value.int 0; Value.int 7; Value.int 12; Value.int 100;
+      Value.str ""; Value.str "a"; Value.str "b, c=(d)"; Value.str "zz";
+    |]
+  in
+  let value = map (fun i -> pool.(i)) (int_range 0 (Array.length pool - 1)) in
+  let rows = list_size (int_range 1 6) (list_repeat 2 value) in
+  let* n = int_range 1 3 in
+  let schemes = [ "AB"; "BC"; "CD" ] in
+  let* tables = list_repeat n rows in
+  return
+    (Database.of_rows
+       (List.mapi (fun i rows -> (List.nth schemes i, rows)) tables))
+
+(* Integer-only and mixed databases, so both generators' regimes feed
+   the digest laws. *)
+let gen_any_db = QCheck2.Gen.oneof [ gen_db; gen_mixed_db ]
+
+let codes_ascend d =
+  let n = Frame.Dict.size d in
+  let rec go c =
+    c + 1 >= n
+    || Value.compare (Frame.Dict.value d c) (Frame.Dict.value d (c + 1)) < 0
+       && go (c + 1)
+  in
+  go 0
+
+let digest_agrees f =
+  Frame.digest f = Mj_serve.Protocol.result_hash (Frame.to_relation f)
+
+let of_database_ordered =
+  qtest "of_database frames are ordered, canonical and decode to the source"
+    gen_any_db (fun db ->
+      List.for_all
+        (fun storage ->
+          let fdb = Frame.Db.of_database ~storage db in
+          let dict = Frame.Db.dict fdb in
+          Frame.Dict.ordered dict && codes_ascend dict
+          && List.for_all
+               (fun r ->
+                 let f = Frame.Db.find fdb (Relation.scheme r) in
+                 (* [of_relation] re-sorts its rows into canonical form;
+                    equal packed rows mean [f]'s already were. *)
+                 Frame.equal f (Frame.of_relation ~storage dict r)
+                 && Relation.equal (Frame.to_relation f) r)
+               (Database.relations db))
+        Frame.all_storages)
+
+let digest_ordered =
+  qtest "digest = result_hash . to_relation on ordered dictionaries"
+    gen_any_db (fun db ->
+      List.for_all
+        (fun storage ->
+          let fdb = Frame.Db.of_database ~storage db in
+          List.for_all
+            (fun r -> digest_agrees (Frame.Db.find fdb (Relation.scheme r)))
+            (Database.relations db)
+          && digest_agrees (Frame.Db.join_all fdb))
+        Frame.all_storages)
+
+(* [intern] appends in first-seen order; seeding the dictionary with
+   the largest values first makes it unordered whenever a smaller value
+   follows, which is the path that ranks the dictionary by value. *)
+let digest_unordered =
+  qtest "digest, to_relation and topk agree on unordered dictionaries"
+    gen_any_db (fun db ->
+      let values =
+        List.concat_map
+          (fun r ->
+            Relation.fold
+              (fun tu acc -> List.map snd (Tuple.bindings tu) @ acc)
+              r [])
+          (Database.relations db)
+      in
+      let descending = List.sort_uniq (fun a b -> Value.compare b a) values in
+      List.for_all
+        (fun storage ->
+          let dict = Frame.Dict.create () in
+          List.iter (fun v -> ignore (Frame.Dict.intern dict v)) descending;
+          let frames =
+            List.map (Frame.of_relation ~storage dict) (Database.relations db)
+          in
+          let joined =
+            List.fold_left Frame.natural_join (List.hd frames) (List.tl frames)
+          in
+          let expected = Database.join_all db in
+          let order = Attr.Set.elements (Relation.scheme expected) in
+          let top3 =
+            List.filteri (fun i _ -> i < 3) (Relation.tuples expected)
+          in
+          Frame.Dict.ordered dict = (List.length descending <= 1)
+          && List.for_all digest_agrees (joined :: frames)
+          && Relation.equal (Frame.to_relation joined) expected
+          && List.equal Tuple.equal
+               (Relation.tuples
+                  (Frame.to_relation (Frame.topk ~order ~k:3 frames)))
+               top3)
+        Frame.all_storages)
+
+let test_intern_clears_ordered () =
+  let d = Frame.Dict.create () in
+  Alcotest.(check bool) "a fresh dictionary is ordered" true
+    (Frame.Dict.ordered d);
+  ignore (Frame.Dict.intern d (Value.int 1));
+  ignore (Frame.Dict.intern d (Value.int 5));
+  ignore (Frame.Dict.intern d (Value.int 1));
+  Alcotest.(check bool) "ascending appends keep it ordered" true
+    (Frame.Dict.ordered d);
+  ignore (Frame.Dict.intern d (Value.int 3));
+  Alcotest.(check bool) "an out-of-order append clears the flag" false
+    (Frame.Dict.ordered d);
+  ignore (Frame.Dict.intern d (Value.int 9));
+  Alcotest.(check bool) "and it stays cleared" false (Frame.Dict.ordered d)
+
 let () =
   Alcotest.run "frame"
     [
@@ -383,5 +508,13 @@ let () =
             test_morsel_traced_chain;
           Alcotest.test_case "morsel boundaries" `Quick test_morsel_boundaries;
           engines_agree;
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "intern clears the ordered flag" `Quick
+            test_intern_clears_ordered;
+          of_database_ordered;
+          digest_ordered;
+          digest_unordered;
         ] );
     ]

@@ -479,11 +479,121 @@ let test_ping_and_stats () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Result digests                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The same request on both planes answers the same hash: the frame
+   plane digests its result without decoding, the seed plane digests
+   the decoded relation, and the wire cannot tell them apart. *)
+let planes_same_hash_law =
+  qtest "frame-plane and seed-plane responses carry the same hash" ~count:30
+    (gen_specs ~min_n:1 ~max_n:1)
+    (fun specs ->
+      let s = List.hd specs in
+      let srv = mk_serve () in
+      let answer plane =
+        let line = Serve.handle_line srv (request_line { s with plane }) in
+        ( status line,
+          Option.bind (Json.of_string_opt line) (str_field "hash"),
+          Option.bind (Json.of_string_opt line) (int_field "rows") )
+      in
+      let seed = answer Engine.Seed and frame = answer Engine.Frame in
+      let st, hash, _ = seed in
+      st = "ok" && hash <> None && seed = frame)
+
+(* Digests captured from the protocol's original implementation
+   (per-tuple [Tuple.to_string] renderings, sorted, folded with a
+   boxed FNV-1a).  They pin the wire format: a changed value here means
+   every client and stored oracle would disagree with the daemon. *)
+let golden_cases =
+  let open Mj_relation in
+  let i = Value.int and s = Value.str in
+  [
+    ( "paper example 1, joined",
+      Database.join_all Mj_workload.Scenarios.example1,
+      "c5ee4349da03dd7c" );
+    ( "Str values",
+      Relation.of_rows "AB"
+        [
+          [ s "p"; i 0 ]; [ s "q"; i 10 ]; [ s "p, q=(x)"; i (-3) ];
+          [ s ""; i 7 ]; [ i 4; s "\195\169" ];
+        ],
+      "472011e553c906b8" );
+    ("empty relation", Relation.empty (Attr.Set.of_string "AB"), "09086407b5a0edaa");
+    ( "width 1",
+      Relation.of_rows "A" [ [ i 3 ]; [ i 1 ]; [ i (-2) ] ],
+      "124f0a8f8b92f414" );
+    ( "multi-character attributes",
+      Relation.make
+        (Attr.Set.of_list [ Attr.make "dept"; Attr.make "name" ])
+        [
+          Tuple.of_string_list [ ("name", s "ann"); ("dept", i 2) ];
+          Tuple.of_string_list [ ("name", s "bob"); ("dept", i 1) ];
+        ],
+      "f1faf89af056452c" );
+  ]
+
+let test_golden_digests () =
+  let open Mj_relation in
+  List.iter
+    (fun (name, r, expected) ->
+      Alcotest.(check string) name expected
+        (Protocol.hash_hex (Protocol.result_hash r));
+      let f = Frame.of_relation (Frame.Dict.create ()) r in
+      Alcotest.(check string) (name ^ " (frame)") expected
+        (Protocol.hash_hex (Frame.digest f)))
+    golden_cases
+
+let rec span_names (t : Obs.span_tree) =
+  t.Obs.name :: List.concat_map span_names t.Obs.children
+
+(* A served frame-plane answer is hashed in a [digest] span inside
+   [serve.request] and never decoded; a one-shot frame execution
+   decodes in a [decode] span after [execute-frame] closes. *)
+let test_digest_and_decode_spans () =
+  let spec =
+    {
+      workload = { Protocol.default_workload with rows = 12 };
+      policy = Planner.Hash_all;
+      plane = Engine.Frame;
+    }
+  in
+  let sink = Obs.make () in
+  let resp = Serve.handle_line (mk_serve ()) ~obs:sink (request_line spec) in
+  Alcotest.(check string) "served ok" "ok" (status resp);
+  (match Obs.trace sink with
+  | [ ({ Obs.name = "serve.request"; _ } as request) ] ->
+      let names = span_names request in
+      Alcotest.(check bool) "digest inside serve.request" true
+        (List.mem "digest" names);
+      Alcotest.(check bool) "execute-frame inside serve.request" true
+        (List.mem "execute-frame" names);
+      Alcotest.(check bool) "no decode on the served path" false
+        (List.mem "decode" names)
+  | roots ->
+      Alcotest.failf "expected one serve.request root, got [%s]"
+        (String.concat "; " (List.map (fun (t : Obs.span_tree) -> t.Obs.name) roots)));
+  let sink = Obs.make () in
+  let db = Protocol.materialize spec.workload in
+  let cfg = Engine.Config.make ~plane:Engine.Frame ~domains:1 ~obs:sink () in
+  ignore (Engine.run cfg db (Protocol.default_strategy db));
+  Alcotest.(check (list string)) "decode follows execute-frame"
+    [ "execute-frame"; "decode" ]
+    (List.map (fun (t : Obs.span_tree) -> t.Obs.name) (Obs.trace sink))
+
 let () =
   Alcotest.run "serve"
     [
       ( "oracle",
         [ concurrent_oracle_law; hit_miss_law ] );
+      ( "digest",
+        [
+          Alcotest.test_case "golden digests" `Quick test_golden_digests;
+          Alcotest.test_case "digest and decode spans" `Quick
+            test_digest_and_decode_spans;
+          planes_same_hash_law;
+        ] );
       ( "plan-cache",
         [
           lru_model_law;
