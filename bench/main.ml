@@ -16,7 +16,6 @@ module Yannakakis = Mj_yannakakis.Yannakakis
 module Pool = Mj_pool.Pool
 module Kernel_bench = Mj_benchkit.Kernel_bench
 module Frame_bench = Mj_benchkit.Frame_bench
-module Plan_bench = Mj_benchkit.Plan_bench
 module Par_bench = Mj_benchkit.Par_bench
 module Wcoj_bench = Mj_benchkit.Wcoj_bench
 module Yann_bench = Mj_benchkit.Yann_bench
@@ -1377,48 +1376,6 @@ let serve () =
   if Serve_bench.failures t <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* PLAN: default-hash vs cost-based lowering                            *)
-(* ------------------------------------------------------------------ *)
-
-let plan () =
-  section "PLAN"
-    "Baseline vs cost-based lowering of one strategy (equal results, equal \
-     tau certified)";
-  let cfg = get_config () in
-  let t =
-    Plan_bench.run ~baseline:cfg.Engine.Config.algo_policy
-      ~domains:cfg.Engine.Config.domains ~quick:!quick ()
-  in
-  Printf.printf "  baseline lowering: %s\n" t.baseline;
-  Printf.printf "  %-16s %-7s %-5s %-10s %-10s %-8s %-24s %-6s\n" "workload"
-    "rows" "reps" "base ms" "cost ms" "speedup" "cost-based algorithms" "equal";
-  List.iter
-    (fun (r : Plan_bench.row) ->
-      Printf.printf "  %-16s %-7d %-5d %-10.3f %-10.3f %-8s %-24s %s\n"
-        r.workload r.rows_per_rel r.reps r.base_ms r.cost_ms
-        (Printf.sprintf "%.1fx" r.speedup)
-        r.cost_algos
-        (if r.equal then "OK" else "FAIL"))
-    t.rows;
-  Printf.printf "  %-16s %-14s %-14s %-12s %-12s %-8s\n" "workload"
-    "base cmps" "cost cmps" "base probes" "cost probes" "tau";
-  List.iter
-    (fun (r : Plan_bench.row) ->
-      Printf.printf "  %-16s %-14d %-14d %-12d %-12d %-8d\n" r.workload
-        r.base_comparisons r.cost_comparisons r.base_probes r.cost_probes r.tau)
-    t.rows;
-  check "both lowerings agree on every row (results and tau)"
-    (List.for_all (fun (r : Plan_bench.row) -> r.equal) t.rows);
-  Printf.printf "  BENCH_JSON %s\n"
-    (Mj_obs.Json.to_string (Plan_bench.bench_json t));
-  Plan_bench.write_file "BENCH_PLAN.json" t;
-  print_endline "  (full report written to BENCH_PLAN.json)";
-  print_endline
-    "  (tau is identical by construction — the paper's measure counts\n\
-    \   tuples generated, not work per tuple, so the chooser can only move\n\
-    \   wall-clock and the comparison/probe mix, never the answer)"
-
-(* ------------------------------------------------------------------ *)
 (* PERF: optimizer timings (bechamel)                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1494,7 +1451,7 @@ let experiments =
     ("SK", sk); ("SPACE", space); ("GAMMA", gamma); ("MONO", mono);
     ("SETOP", setop); ("YANN", yann); ("EST", est); ("RAND", rand);
     ("PIPE", pipe); ("LEM", lem); ("COST", cost_models); ("C4JT", c4jt); ("CASE", case); ("MAKESPAN", makespan); ("LOSS", loss);
-    ("OBS", obs_metrics); ("KERNEL", kernel); ("FRAME", frame); ("PAR", par); ("WCOJ", wcoj); ("SERVE", serve); ("PLAN", plan);
+    ("OBS", obs_metrics); ("KERNEL", kernel); ("FRAME", frame); ("PAR", par); ("WCOJ", wcoj); ("SERVE", serve);
     ("PERF", perf);
   ]
 
@@ -1527,7 +1484,7 @@ let () =
         | Some p -> policy := Some p
         | None ->
             Printf.eprintf
-              "unknown policy %s (expected hash, cost, wcoj or yann)\n" v;
+              "unknown policy %s (expected hash, wcoj or yann)\n" v;
             exit 2);
         parse rest
     | a :: rest -> a :: parse rest

@@ -108,7 +108,7 @@ let policy_conv =
         Error
           (`Msg
             (Printf.sprintf
-               "unknown policy %s (expected hash, cost, wcoj or yann)" s))
+               "unknown policy %s (expected hash, wcoj or yann)" s))
   in
   Arg.conv
     (parse, fun fmt p -> Format.pp_print_string fmt (Planner.policy_name p))
@@ -139,9 +139,8 @@ let policy_arg =
     & info [ "policy" ]
         ~doc:
           "Plan-lowering policy: 'hash' (every join step a hash join), \
-           'cost' (catalog-driven per-step algorithm choice), 'wcoj' \
-           (worst-case-optimal generic join on cyclic queries, binary \
-           cost-based lowering on acyclic ones) or 'yann' (Yannakakis \
+           'wcoj' (worst-case-optimal generic join on cyclic queries, \
+           hash joins on acyclic ones) or 'yann' (Yannakakis \
            semijoin program over a cost-chosen join tree on acyclic \
            queries, wcoj fallthrough on cyclic ones).  Default: \
            $(b,MJ_ALGO_POLICY), else hash.")
@@ -706,7 +705,7 @@ let q_error ~est ~actual =
   Float.max (e /. a) (a /. e)
 
 let run_explain scenario (shape_name, shape) n seed rows domain regime
-    strategy_text algo_name config trace_file =
+    strategy_text config trace_file =
   let name, db =
     match scenario with
     | Some (nm, db) -> (nm, db)
@@ -741,20 +740,6 @@ let run_explain scenario (shape_name, shape) n seed rows domain regime
             | Some r -> r.Optimal.strategy
             | None -> failwith "no plan found"))
   in
-  (* --algo is the most specific lowering directive: when given it
-     overrides --policy / MJ_ALGO_POLICY with a forced single-algorithm
-     policy ('hash' forces the historical hash-everywhere default). *)
-  let forced =
-    match algo_name with
-    | None -> None
-    | Some "hash" -> Some Planner.Hash_all
-    | Some "nl" -> Some (Planner.Forced Physical.Nested_loop)
-    | Some "bnl" ->
-        Some (Planner.Forced (Physical.Block_nested_loop Planner.block_size))
-    | Some "merge" -> Some (Planner.Forced Physical.Sort_merge)
-    | Some "inl" -> Some (Planner.Forced Physical.Index_nested_loop)
-    | Some a -> failwith (Printf.sprintf "unknown algorithm %s" a)
-  in
   (* Estimated cardinality of every plan subtree, keyed like the span
      attributes so the tree walk below can pair est with act. *)
   let est_tbl = Hashtbl.create 16 in
@@ -770,9 +755,8 @@ let run_explain scenario (shape_name, shape) n seed rows domain regime
      the summary tail differs, keyed on the plane-specific stats. *)
   let cfg =
     let plane, domains, policy, telemetry, storage, morsel = config in
-    Engine.Config.make ?plane ?domains
-      ?policy:(match forced with Some _ -> forced | None -> policy)
-      ~obs ?telemetry ?storage ?morsel ()
+    Engine.Config.make ?plane ?domains ?policy ~obs ?telemetry ?storage
+      ?morsel ()
   in
   let plan = Engine.lower cfg db strategy in
   let t0 = Obs.monotonic_time () in
@@ -945,16 +929,6 @@ let explain_cmd =
             "Execute this strategy (paper notation, e.g. '(AB * BC) * DE') \
              instead of the optimizer's plan.")
   in
-  let algo =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "algo" ]
-          ~doc:
-            "Force one join algorithm on every step: hash, nl, bnl, merge, \
-             inl.  Overrides --policy; when absent the configured policy \
-             lowers the plan.")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -963,10 +937,10 @@ let explain_cmd =
           and Q-error")
     Term.(
       const
-        (fun sc sh n seed rows domain regime st algo cfg tr ->
-          graceful (run_explain sc sh n seed rows domain regime st algo cfg) tr)
+        (fun sc sh n seed rows domain regime st cfg tr ->
+          graceful (run_explain sc sh n seed rows domain regime st cfg) tr)
       $ scenario $ shape_arg $ n_arg $ seed_arg $ rows_arg $ domain_arg
-      $ regime_arg $ strategy $ algo $ config_term $ trace_arg)
+      $ regime_arg $ strategy $ config_term $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* topk                                                                 *)
@@ -1446,6 +1420,7 @@ let run_serve listen queue_cap timeout_ms plan_cache config =
          cache %d)\n\
          %!"
         queue_cap timeout_ms plan_cache;
+      Mj_serve.Serve.ignore_sigpipe ();
       Mj_serve.Serve.serve_fd t Unix.stdin Unix.stdout;
       Printf.eprintf "mjoin serve: drained\n%!"
   | Some spec -> (

@@ -1,6 +1,6 @@
 (* Bench regression gate: diff two BENCH_*.json trajectory files.
 
-   The bench writers (Frame_bench, Kernel_bench, Plan_bench) all emit
+   The bench writers (Frame_bench, Kernel_bench, Serve_bench, ...) emit
    one JSON object with a "rows" array; each row mixes identity fields
    (experiment, shape, n, ...) with timing fields (named "*_ms") and
    derived fields ("speedup", "reps", counts).  The diff is schema

@@ -13,9 +13,9 @@
      the same request (rows, tau, hash, per-step τ log).
 
    - the "plan-cache" row: the warm-over-cold gate.  Cold = a fresh
-     daemon per shot (registry miss, plan-cache miss, cold index
-     caches); warm = the same line repeated against one daemon
-     (registry, plan cache and index caches all hot).  Min-of-reps on
+     daemon per shot (registry miss, plan-cache miss); warm = the
+     same line repeated against one daemon (registry and plan cache
+     hot).  Min-of-reps on
      both sides; the row carries the ≥ 2.0× speedup floor that [bench
      SERVE] turns into a non-zero exit. *)
 
@@ -127,15 +127,15 @@ let mixed_specs ~rows ~domain =
     { Protocol.default_workload with shape; n; rows; domain; regime }
   in
   [
-    { workload = w "chain" 4 "uniform"; policy = Planner.Cost_based; plane = Seed };
+    { workload = w "chain" 4 "uniform"; policy = Planner.Yannakakis; plane = Seed };
     { workload = w "star" 4 "uniform"; policy = Planner.Hash_all; plane = Frame };
     { workload = w "snowflake" 4 "uniform"; policy = Planner.Yannakakis; plane = Seed };
     { workload = w "cycle" 3 "skewed"; policy = Planner.Wcoj; plane = Frame };
     { workload = w "chain" 4 "uniform"; policy = Planner.Hash_all; plane = Seed };
-    { workload = w "star" 4 "uniform"; policy = Planner.Cost_based; plane = Frame };
+    { workload = w "star" 4 "uniform"; policy = Planner.Yannakakis; plane = Frame };
   ]
 
-let mix_name = "chain/star/snowflake/triangle x hash/cost/wcoj/yann x planes"
+let mix_name = "chain/star/snowflake/triangle x hash/wcoj/yann x planes"
 
 let count status responses =
   List.length
@@ -210,9 +210,8 @@ let mixed_row ~quick ~cores ~clients =
 
 (* The gate workload is chosen so the cold-only costs dominate: on a
    superkey chain the joins are injective (every intermediate stays at
-   [rows]), so execution with warm indexes is a flat probe pass, while
-   a cold shot also pays materialization, the catalog scan of the
-   cost-based lowering, and the per-relation index builds. *)
+   [rows]), so a warm shot is a flat hash-join pass, while a cold shot
+   also pays materialization and lowering. *)
 let floor_spec ~quick =
   {
     workload =
@@ -224,7 +223,7 @@ let floor_spec ~quick =
         domain = 256;
         regime = "superkey";
       };
-    policy = Planner.Cost_based;
+    policy = Planner.Hash_all;
     plane = Seed;
   }
 
@@ -243,16 +242,16 @@ let plan_cache_row ~quick ~cores:_ =
       ~cfg:(Engine.Config.make ~domains:1 ~obs:Obs.noop ())
       ()
   in
-  (* Cold: a fresh daemon per shot pays materialization, catalog,
-     lowering and index builds every time. *)
+  (* Cold: a fresh daemon per shot pays materialization and lowering
+     every time. *)
   let cold_ms = ref infinity in
   for _ = 1 to reps do
     let srv = mk () in
     let ms, _ = time_once (fun () -> Serve.handle_line srv line) in
     if ms < !cold_ms then cold_ms := ms
   done;
-  (* Warm: one daemon, primed once — registry, plan cache and index
-     caches all hot on the timed shots. *)
+  (* Warm: one daemon, primed once — registry and plan cache hot on
+     the timed shots. *)
   let srv = mk () in
   let _prime = Serve.handle_line srv line in
   let warm_ms = ref infinity in

@@ -30,20 +30,9 @@ let guard f = try f () ; Pass with Failed x -> Fail x
 let planes = [ Engine.Seed; Engine.Frame ]
 let domain_counts = [ 1; 4 ]
 
-let policies =
-  [
-    Planner.Hash_all;
-    Planner.Cost_based;
-    Planner.Forced Physical.Nested_loop;
-    Planner.Forced (Physical.Block_nested_loop 3);
-    Planner.Forced Physical.Hash_join;
-    Planner.Forced Physical.Sort_merge;
-    Planner.Forced Physical.Index_nested_loop;
-  ]
-
 (* The structural fingerprint of a trace: every named span ("scan" and
    "join" by default; the yann leg adds "semijoin" and "topk") in DFS
-   order with its scheme attribute.  Algorithm names and timings are
+   order with its scheme attribute.  Algorithm labels and timings are
    allowed to differ across the matrix; the shape is not. *)
 let skeleton ?(names = [ "scan"; "join" ]) obs =
   let scheme_of attrs =
@@ -73,101 +62,84 @@ let pp_step_log fmt log =
        (fun fmt (d, c) -> Format.fprintf fmt "%a=%d" Scheme.Set.pp d c))
     log
 
-let differential db s =
-  guard @@ fun () ->
-  let expected = Cost.eval db s in
-  let tau = Cost.tau db s in
-  let steps = Cost.step_costs db s in
-  (* Join spans must agree cell-for-cell across the whole matrix; the
-     full scan/join shape only across domain counts within one
-     plane × policy cell — the index-nested-loop fast path reaches
-     indexed base relations without executing (or tracing) the inner
-     scan, so scan counts legitimately differ between policies. *)
-  let reference_joins = ref None in
-  let cell_skeletons = Hashtbl.create 16 in
-  List.iter
+(* Every (plane, storage, domains) cell of the engine matrix.  The
+   storage axis only exists on the frame plane: the seed plane has no
+   frames, so one cell covers it. *)
+let cells =
+  List.concat_map
     (fun plane ->
-      (* The storage axis only exists on the frame plane: the seed plane
-         has no frames, so one cell covers it. *)
       let storages =
         match plane with
         | Engine.Seed -> [ None ]
         | Engine.Frame -> List.map Option.some Frame.all_storages
       in
-      List.iter
-        (fun policy ->
-          List.iter
-            (fun storage ->
-            List.iter
-            (fun domains ->
-              let storage_label =
-                match storage with
-                | None -> ""
-                | Some st -> "/" ^ Frame.storage_name st
-              in
-              let where =
-                Printf.sprintf "%s%s/%s/%d-domain" (Engine.plane_name plane)
-                  storage_label
-                  (Planner.policy_name policy) domains
-              in
-              let obs = Obs.make () in
-              let cfg =
-                Engine.Config.make ~plane ~domains ~policy ~obs ?storage ()
-              in
-              let r, stats = Engine.run cfg db s in
-              if not (Relation.equal r expected) then
-                fail "differential:result"
-                  "%s: %d rows, reference has %d (strategy %s)" where
-                  (Relation.cardinality r)
-                  (Relation.cardinality expected)
-                  (Strategy.to_string s);
-              if stats.Engine.tuples_generated <> tau then
-                fail "differential:tau" "%s: reported τ=%d, Cost.tau=%d" where
-                  stats.Engine.tuples_generated tau;
-              if not (step_log_equal stats.Engine.per_step steps) then
-                fail "differential:steps" "%s: per-step log %a ≠ %a" where
-                  pp_step_log stats.Engine.per_step pp_step_log steps;
-              let sk = skeleton obs in
-              let joins = List.filter (fun (n, _) -> n = "join") sk in
-              (match !reference_joins with
-              | None -> reference_joins := Some (where, joins)
-              | Some (ref_where, ref_joins) ->
-                  if joins <> ref_joins then
-                    fail "differential:spans"
-                      "%s: %d join spans with a different shape than %s's %d"
-                      where (List.length joins) ref_where
-                      (List.length ref_joins));
-              let cell =
-                ( Engine.plane_name plane ^ storage_label,
-                  Planner.policy_name policy )
-              in
-              match Hashtbl.find_opt cell_skeletons cell with
-              | None -> Hashtbl.add cell_skeletons cell (where, sk)
-              | Some (ref_where, ref_sk) ->
-                  if sk <> ref_sk then
-                    fail "differential:spans"
-                      "%s: scan/join shape differs from %s within the same \
-                       plane × policy × storage cell"
-                      where ref_where)
-            domain_counts)
-            storages)
-        policies)
+      List.concat_map
+        (fun storage ->
+          List.map (fun domains -> (plane, storage, domains)) domain_counts)
+        storages)
     planes
 
-(* The worst-case-optimal leg of the matrix.  The [Wcoj] policy is kept
-   out of [policies] deliberately: on a cyclic strategy it rewrites the
-   whole plan into one n-ary node, so its τ and span shapes legitimately
-   differ from every binary cell — the main differential's
-   "join spans agree cell-for-cell" invariant would be vacuously
-   destroyed, not checked.  Instead the wcoj cells get their own
-   expected τ/step log, derived from the lowered plan itself through the
-   exact-cardinality cache, and the span-shape invariant is scoped to
-   the wcoj cells (which must agree with each other across planes,
-   storages and domain counts). *)
+let cell_name (plane, storage, _) =
+  Engine.plane_name plane
+  ^ match storage with None -> "" | Some st -> "/" ^ Frame.storage_name st
+
+(* Run [s] under [policy] in every cell of the matrix: [check] judges
+   each run's result and stats, and the traces' span skeletons (over
+   [names]) must be identical across the whole matrix. *)
+let run_matrix ~leg ?names ~policy db s check =
+  let reference = ref None in
+  List.iter
+    (fun ((plane, storage, domains) as cell) ->
+      let where =
+        Printf.sprintf "%s/%s/%d-domain" (cell_name cell)
+          (Planner.policy_name policy) domains
+      in
+      let obs = Obs.make () in
+      let cfg = Engine.Config.make ~plane ~domains ~policy ~obs ?storage () in
+      let r, stats = Engine.run cfg db s in
+      check where r stats;
+      let sk = skeleton ?names obs in
+      match !reference with
+      | None -> reference := Some (where, sk)
+      | Some (ref_where, ref_sk) ->
+          if sk <> ref_sk then
+            fail (leg ^ ":spans")
+              "%s: %d spans with a different shape than %s's %d" where
+              (List.length sk) ref_where (List.length ref_sk))
+    cells
+
+(* The shared per-run assertions of a leg: the reference result, the
+   expected τ and the expected per-step log. *)
+let check_run ~leg ~expected ~tau ~steps s where r (stats : Engine.stats) =
+  if not (Relation.equal r expected) then
+    fail (leg ^ ":result") "%s: %d rows, reference has %d (strategy %s)" where
+      (Relation.cardinality r)
+      (Relation.cardinality expected)
+      (Strategy.to_string s);
+  if stats.Engine.tuples_generated <> tau then
+    fail (leg ^ ":tau") "%s: reported τ=%d, expected %d" where
+      stats.Engine.tuples_generated tau;
+  if not (step_log_equal stats.Engine.per_step steps) then
+    fail (leg ^ ":steps") "%s: per-step log %a ≠ %a" where pp_step_log
+      stats.Engine.per_step pp_step_log steps
+
+let differential db s =
+  guard @@ fun () ->
+  let expected = Cost.eval db s in
+  run_matrix ~leg:"differential" ~policy:Planner.Hash_all db s
+    (check_run ~leg:"differential" ~expected ~tau:(Cost.tau db s)
+       ~steps:(Cost.step_costs db s) s)
+
+(* The worst-case-optimal leg of the matrix.  On a cyclic strategy the
+   [Wcoj] policy rewrites the whole plan into one n-ary node, so its τ
+   and span shapes legitimately differ from the hash cells.  The wcoj
+   cells get their own expected τ/step log, derived from the lowered
+   plan itself through the exact-cardinality cache, and must agree with
+   each other across planes, storages and domain counts. *)
 let wcoj_steps cache plan =
   let rec go acc = function
     | Physical.Scan _ -> acc
-    | Physical.Join (_, l, r) ->
+    | Physical.Join (l, r) ->
         let acc = go (go acc l) r in
         let d = Scheme.Set.union (Physical.schemes l) (Physical.schemes r) in
         (d, Cost.Cache.card cache d) :: acc
@@ -195,70 +167,8 @@ let wcoj_differential db s =
       if tau <> result_card then
         fail "wcoj:tau_shape" "generic join τ=%d ≠ |R_D|=%d" tau result_card
   | _ -> ());
-  (* Join spans must agree across the whole wcoj matrix; the full
-     scan/join shape only within one plane × storage cell — the acyclic
-     arm is the cost-based chooser, whose index-nested-loop fast path
-     skips inner scans on the seed plane but not the frame plane. *)
-  let reference_joins = ref None in
-  let cell_skeletons = Hashtbl.create 8 in
-  List.iter
-    (fun plane ->
-      let storages =
-        match plane with
-        | Engine.Seed -> [ None ]
-        | Engine.Frame -> List.map Option.some Frame.all_storages
-      in
-      List.iter
-        (fun storage ->
-          List.iter
-            (fun domains ->
-              let cell =
-                Engine.plane_name plane
-                ^
-                match storage with
-                | None -> ""
-                | Some st -> "/" ^ Frame.storage_name st
-              in
-              let where = Printf.sprintf "%s/wcoj/%d-domain" cell domains in
-              let obs = Obs.make () in
-              let cfg =
-                Engine.Config.make ~plane ~domains ~policy:Planner.Wcoj ~obs
-                  ?storage ()
-              in
-              let r, stats = Engine.run cfg db s in
-              if not (Relation.equal r expected) then
-                fail "wcoj:result" "%s: %d rows, reference has %d (strategy %s)"
-                  where
-                  (Relation.cardinality r)
-                  (Relation.cardinality expected)
-                  (Strategy.to_string s);
-              if stats.Engine.tuples_generated <> tau then
-                fail "wcoj:tau" "%s: reported τ=%d, plan prices %d" where
-                  stats.Engine.tuples_generated tau;
-              if not (step_log_equal stats.Engine.per_step steps) then
-                fail "wcoj:steps" "%s: per-step log %a ≠ %a" where pp_step_log
-                  stats.Engine.per_step pp_step_log steps;
-              let sk = skeleton obs in
-              let joins = List.filter (fun (n, _) -> n = "join") sk in
-              (match !reference_joins with
-              | None -> reference_joins := Some (where, joins)
-              | Some (ref_where, ref_joins) ->
-                  if joins <> ref_joins then
-                    fail "wcoj:spans"
-                      "%s: %d join spans with a different shape than %s's %d"
-                      where (List.length joins) ref_where
-                      (List.length ref_joins));
-              match Hashtbl.find_opt cell_skeletons cell with
-              | None -> Hashtbl.add cell_skeletons cell (where, sk)
-              | Some (ref_where, ref_sk) ->
-                  if sk <> ref_sk then
-                    fail "wcoj:spans"
-                      "%s: scan/join shape differs from %s within the same \
-                       plane × storage cell"
-                      where ref_where)
-            domain_counts)
-        storages)
-    planes
+  run_matrix ~leg:"wcoj" ~policy:Planner.Wcoj db s
+    (check_run ~leg:"wcoj" ~expected ~tau ~steps s)
 
 (* The Yannakakis leg of the matrix.  Like the wcoj leg, the [yann]
    policy's τ and span shapes legitimately differ from every binary
@@ -300,67 +210,10 @@ let yann_differential db s =
     | _ -> wcoj_steps (Cost.Cache.create db) plan
   in
   let tau = List.fold_left (fun acc (_, c) -> acc + c) 0 steps in
-  let reference_joins = ref None in
-  let cell_skeletons = Hashtbl.create 8 in
-  let span_names = [ "scan"; "join"; "semijoin"; "topk" ] in
-  List.iter
-    (fun plane ->
-      let storages =
-        match plane with
-        | Engine.Seed -> [ None ]
-        | Engine.Frame -> List.map Option.some Frame.all_storages
-      in
-      List.iter
-        (fun storage ->
-          List.iter
-            (fun domains ->
-              let cell =
-                Engine.plane_name plane
-                ^
-                match storage with
-                | None -> ""
-                | Some st -> "/" ^ Frame.storage_name st
-              in
-              let where = Printf.sprintf "%s/yann/%d-domain" cell domains in
-              let obs = Obs.make () in
-              let cfg =
-                Engine.Config.make ~plane ~domains ~policy:Planner.Yannakakis
-                  ~obs ?storage ()
-              in
-              let r, stats = Engine.run cfg db s in
-              if not (Relation.equal r expected) then
-                fail "yann:result" "%s: %d rows, reference has %d (strategy %s)"
-                  where
-                  (Relation.cardinality r)
-                  (Relation.cardinality expected)
-                  (Strategy.to_string s);
-              if stats.Engine.tuples_generated <> tau then
-                fail "yann:tau" "%s: reported τ=%d, plan prices %d" where
-                  stats.Engine.tuples_generated tau;
-              if not (step_log_equal stats.Engine.per_step steps) then
-                fail "yann:steps" "%s: per-step log %a ≠ %a" where pp_step_log
-                  stats.Engine.per_step pp_step_log steps;
-              let sk = skeleton ~names:span_names obs in
-              let joins = List.filter (fun (n, _) -> n = "join") sk in
-              (match !reference_joins with
-              | None -> reference_joins := Some (where, joins)
-              | Some (ref_where, ref_joins) ->
-                  if joins <> ref_joins then
-                    fail "yann:spans"
-                      "%s: %d join spans with a different shape than %s's %d"
-                      where (List.length joins) ref_where
-                      (List.length ref_joins));
-              match Hashtbl.find_opt cell_skeletons cell with
-              | None -> Hashtbl.add cell_skeletons cell (where, sk)
-              | Some (ref_where, ref_sk) ->
-                  if sk <> ref_sk then
-                    fail "yann:spans"
-                      "%s: scan/semijoin/join shape differs from %s within \
-                       the same plane × storage cell"
-                      where ref_where)
-            domain_counts)
-        storages)
-    planes;
+  run_matrix ~leg:"yann"
+    ~names:[ "scan"; "join"; "semijoin"; "topk" ]
+    ~policy:Planner.Yannakakis db s
+    (check_run ~leg:"yann" ~expected ~tau ~steps s);
   (* Ranked enumeration: top-k must be the k-prefix of the sorted full
      output, on every plane and storage, with τ = the rows streamed. *)
   match plan with
@@ -372,40 +225,27 @@ let yann_differential db s =
         List.filteri (fun i _ -> i < k) full
       in
       List.iter
-        (fun plane ->
-          let storages =
-            match plane with
-            | Engine.Seed -> [ None ]
-            | Engine.Frame -> List.map Option.some Frame.all_storages
-          in
-          List.iter
-            (fun storage ->
-              List.iter
-                (fun k ->
-                  let where =
-                    Printf.sprintf "%s/topk k=%d" (Engine.plane_name plane) k
-                  in
-                  let cfg =
-                    Engine.Config.make ~plane ~domains:1
-                      ~policy:Planner.Yannakakis ?storage ()
-                  in
-                  let r, stats =
-                    Engine.execute_plan cfg db
-                      (Physical.Ranked_enumerate (rt, k))
-                  in
-                  let want = prefix k in
-                  if
-                    not
-                      (List.equal Tuple.equal (Relation.tuples r) want)
-                  then
-                    fail "yann:topk" "%s: %d rows ≠ the sorted %d-prefix"
-                      where (Relation.cardinality r) (List.length want);
-                  if stats.Engine.tuples_generated <> List.length want then
-                    fail "yann:topk_tau" "%s: τ=%d ≠ %d rows streamed" where
-                      stats.Engine.tuples_generated (List.length want))
-                ks)
-            storages)
-        planes
+        (fun ((plane, storage, domains) as cell) ->
+          if domains = 1 then
+            List.iter
+              (fun k ->
+                let where = Printf.sprintf "%s/topk k=%d" (cell_name cell) k in
+                let cfg =
+                  Engine.Config.make ~plane ~domains ~policy:Planner.Yannakakis
+                    ?storage ()
+                in
+                let r, stats =
+                  Engine.execute_plan cfg db (Physical.Ranked_enumerate (rt, k))
+                in
+                let want = prefix k in
+                if not (List.equal Tuple.equal (Relation.tuples r) want) then
+                  fail "yann:topk" "%s: %d rows ≠ the sorted %d-prefix" where
+                    (Relation.cardinality r) (List.length want);
+                if stats.Engine.tuples_generated <> List.length want then
+                  fail "yann:topk_tau" "%s: τ=%d ≠ %d rows streamed" where
+                    stats.Engine.tuples_generated (List.length want))
+              ks)
+        cells
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -724,28 +564,42 @@ let faults db s =
     fail "faults:cache_poison"
       "integrity guard never engaged: %d poisoned stores, 0 bypasses"
       (Failpoint.hits Failpoint.Cache_poison);
-  (* Oversized estimates may change the plan, never the answer. *)
+  (* Oversized estimates may change the join tree the yann policy
+     picks, never the answer, and the τ of the plan that actually ran
+     stays the τ of its own join order — over the fully reduced
+     database, where every relation is the projection of [R_D] onto its
+     scheme (the join phase runs after both semijoin sweeps). *)
   Failpoint.reset ();
-  let run_cost_based () =
-    let cfg =
-      Engine.Config.make ~plane:Engine.Seed ~domains:1
-        ~policy:Planner.Cost_based ()
-    in
-    Engine.run cfg db s
+  let yann_cfg =
+    Engine.Config.make ~plane:Engine.Seed ~domains:1
+      ~policy:Planner.Yannakakis ()
   in
-  let baseline, _ = run_cost_based () in
+  let baseline, _ = Engine.run yann_cfg db s in
   Failpoint.enable Failpoint.Estimate_oversize;
-  let skewed, skewed_stats = run_cost_based () in
+  let skewed_plan = Engine.lower yann_cfg db s in
   Failpoint.disable Failpoint.Estimate_oversize;
-  if Failpoint.hits Failpoint.Estimate_oversize = 0 then
-    fail "faults:estimate_oversize" "cost-based lowering never consulted \
-                                     the estimate oracle";
+  let skewed, skewed_stats = Engine.execute_plan yann_cfg db skewed_plan in
   if not (Relation.equal skewed baseline) then
     fail "faults:estimate_oversize" "oversized estimates changed the result";
-  if skewed_stats.Engine.tuples_generated <> tau then
-    fail "faults:estimate_oversize"
-      "oversized estimates changed τ: %d ≠ %d"
-      skewed_stats.Engine.tuples_generated tau;
+  let schemes = Strategy.schemes s in
+  (if
+     Scheme.Set.cardinal schemes >= 2
+     && Option.is_some (Planner.yann_tree db schemes)
+   then begin
+     if Failpoint.hits Failpoint.Estimate_oversize = 0 then
+       fail "faults:estimate_oversize"
+         "the join-tree search never consulted the estimate oracle";
+     let expected = Cost.eval db s in
+     let reduced =
+       Database.of_relations
+         (List.map (Relation.project expected) (Scheme.Set.elements schemes))
+     in
+     let want = Cost.tau reduced (Physical.strategy_of skewed_plan) in
+     if skewed_stats.Engine.tuples_generated <> want then
+       fail "faults:estimate_oversize"
+         "τ=%d under oversized estimates, the plan's join order prices %d"
+         skewed_stats.Engine.tuples_generated want
+   end);
   (* The planted frame-plane mutation must be visible in the τ log —
      this is the detector the self-test relies on.  R_D ≠ ∅ under the
      generators, but raw caller databases may produce τ = 0, where a

@@ -3,13 +3,11 @@
     Four independent oracles over one materialized case, each rooted in
     machine-checkable ground truth rather than golden outputs:
 
-    - {!differential}: the engine matrix.  Both data planes × every
-      lowering policy × 1 and 4 worker domains must produce the
+    - {!differential}: the hash-join matrix.  Both data planes × every
+      frame storage × 1 and 4 worker domains must produce the
       bit-identical result relation, the exact [Cost.tau] tuple count,
-      the same per-step τ log, the same join-span skeleton across the
-      whole matrix, and the same full scan/join skeleton across domain
-      counts within each plane × policy cell (the index-nested-loop
-      fast path legitimately elides indexed inner scans).
+      the same per-step τ log, and the same full scan/join span
+      skeleton across the whole matrix.
     - {!wcoj_differential}: the worst-case-optimal leg, separately.
       The [Wcoj] policy collapses cyclic strategies into one n-ary
       generic join, so its τ and span shapes legitimately differ from
@@ -17,7 +15,7 @@
       from the lowered plan itself through the exact-cardinality cache
       (for a cyclic case: exactly one step pricing at [|R_D|]), and
       planes × storages × domain counts must agree with {e each other}
-      on result, τ, steps and join spans.
+      on result, τ, steps and the full scan/join span skeleton.
     - {!yann_differential}: the Yannakakis leg.  The [yann] policy
       lowers α-acyclic strategies to a semijoin program over a
       cost-chosen join tree, so its expected step log is derived from
@@ -53,7 +51,9 @@
     - {!faults}: fault injection through {!Mj_failpoint.Failpoint} —
       a killed pool worker must not change pool results, a poisoned
       τ-cache must detect and bypass its corrupt entries, oversized
-      estimates must not change execution results, and the planted
+      estimates fed to the yann policy's join-tree search must not
+      change the result — and on acyclic schemes the failpoint must
+      fire and τ must be the τ of the plan that ran — and the planted
       frame-plane mutations must be {e visible} — [frame.lossy_join]
       in the τ log, [yann.lossy_semijoin] in the yann cells' result
       (this is what the self-test leans on).  The serve failpoints are

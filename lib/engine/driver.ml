@@ -11,11 +11,7 @@ module type PLANE = sig
 
   val scan : ctx -> Scheme.t -> item
 
-  val join :
-    ctx -> Physical.algorithm -> common:Attr.Set.t -> item -> item -> item
-
-  val index_join :
-    ctx -> common:Attr.Set.t -> outer:item -> inner:Scheme.t -> item option
+  val join : ctx -> common:Attr.Set.t -> item -> item -> item
 
   val generic_join :
     ctx -> schemes:Scheme.t list -> order:Attr.t list -> item
@@ -27,7 +23,7 @@ module type PLANE = sig
 
   val cardinality : item -> int
   val note_step : ctx -> int -> unit
-  val algo_label : Physical.algorithm -> string
+  val join_label : string
 end
 
 type step_log = {
@@ -40,14 +36,24 @@ let scheme_key d = Format.asprintf "%a" Scheme.Set.pp d
 module Make (P : PLANE) = struct
   (* The walker is the part both planes used to duplicate: the span
      shapes (a "scan" per leaf, a "join" per step, attributes [scheme],
-     [rows] and [algo]), the per-step τ accounting, and the
-     index-nested-loop fast path that reaches the inner base relation
-     through its index instead of executing the scan.  A plane that has
-     no base-relation indexes answers [None] from [index_join] and the
-     step degrades to its ordinary join. *)
+     [rows] and [algo]) and the per-step τ accounting. *)
   let execute ~obs ctx plan =
     let generated = ref 0 in
     let steps = ref [] in
+    (* One τ entry: a step's output rows, logged against its schemes. *)
+    let record node_schemes it =
+      let n = P.cardinality it in
+      generated := !generated + n;
+      steps := (node_schemes, n) :: !steps;
+      P.note_step ctx n;
+      if Obs.enabled obs then Obs.set_attr obs "rows" (Json.int n)
+    in
+    let join_attrs algo node_schemes =
+      if Obs.enabled obs then begin
+        Obs.set_attr obs "algo" (Json.str algo);
+        Obs.set_attr obs "scheme" (Json.str (scheme_key node_schemes))
+      end
+    in
     let rec run = function
       | Physical.Scan s ->
           Obs.span obs "scan" (fun () ->
@@ -58,36 +64,17 @@ module Make (P : PLANE) = struct
                 Obs.set_attr obs "rows" (Json.int (P.cardinality it))
               end;
               (s, it))
-      | Physical.Join (algo, l, r) ->
+      | Physical.Join (l, r) ->
           Obs.span obs "join" (fun () ->
               let node_schemes =
                 Scheme.Set.union (Physical.schemes l) (Physical.schemes r)
               in
-              if Obs.enabled obs then begin
-                Obs.set_attr obs "algo" (Json.str (P.algo_label algo));
-                Obs.set_attr obs "scheme" (Json.str (scheme_key node_schemes))
-              end;
-              let finish out_scheme it =
-                let n = P.cardinality it in
-                generated := !generated + n;
-                steps := (node_schemes, n) :: !steps;
-                P.note_step ctx n;
-                if Obs.enabled obs then Obs.set_attr obs "rows" (Json.int n);
-                (out_scheme, it)
-              in
-              let ordinary ls left =
-                let rs, right = run r in
-                let common = Attr.Set.inter ls rs in
-                finish (Attr.Set.union ls rs) (P.join ctx algo ~common left right)
-              in
+              join_attrs P.join_label node_schemes;
               let ls, left = run l in
-              match (algo, r) with
-              | Physical.Index_nested_loop, Physical.Scan inner -> (
-                  let common = Attr.Set.inter ls inner in
-                  match P.index_join ctx ~common ~outer:left ~inner with
-                  | Some it -> finish (Attr.Set.union ls inner) it
-                  | None -> ordinary ls left)
-              | _ -> ordinary ls left)
+              let rs, right = run r in
+              let it = P.join ctx ~common:(Attr.Set.inter ls rs) left right in
+              record node_schemes it;
+              (Attr.Set.union ls rs, it))
       | Physical.Generic_join (ss, order) ->
           (* One n-ary step: the whole sub-hypergraph is joined in a
              single worst-case-optimal pass, so the node contributes
@@ -98,19 +85,13 @@ module Make (P : PLANE) = struct
               let out_scheme =
                 List.fold_left Attr.Set.union Attr.Set.empty ss
               in
-              if Obs.enabled obs then begin
-                Obs.set_attr obs "algo" (Json.str "wcoj");
-                Obs.set_attr obs "scheme" (Json.str (scheme_key node_schemes));
+              join_attrs "wcoj" node_schemes;
+              if Obs.enabled obs then
                 Obs.set_attr obs "order"
                   (Json.str
-                     (String.concat "," (List.map Attr.to_string order)))
-              end;
+                     (String.concat "," (List.map Attr.to_string order)));
               let it = P.generic_join ctx ~schemes:ss ~order in
-              let n = P.cardinality it in
-              generated := !generated + n;
-              steps := (node_schemes, n) :: !steps;
-              P.note_step ctx n;
-              if Obs.enabled obs then Obs.set_attr obs "rows" (Json.int n);
+              record node_schemes it;
               (out_scheme, it))
       | Physical.Semijoin_program rt -> yannakakis rt None
       | Physical.Ranked_enumerate (rt, k) -> yannakakis rt (Some k)
@@ -124,17 +105,9 @@ module Make (P : PLANE) = struct
        entry: the ≤ k rows it streamed out). *)
     and yannakakis (rt : Mj_hypergraph.Jointree.rooted) limit =
       let order = Mj_hypergraph.Jointree.join_order rt in
-      let scan_node s =
-        Obs.span obs "scan" (fun () ->
-            let it = P.scan ctx s in
-            if Obs.enabled obs then begin
-              Obs.set_attr obs "scheme"
-                (Json.str (scheme_key (Scheme.Set.singleton s)));
-              Obs.set_attr obs "rows" (Json.int (P.cardinality it))
-            end;
-            it)
+      let items =
+        List.map (fun s -> (s, ref (snd (run (Physical.Scan s))))) order
       in
-      let items = List.map (fun s -> (s, ref (scan_node s))) order in
       let item_of s = snd (List.find (fun (s', _) -> Scheme.equal s s') items) in
       let semijoin_step dir target source =
         let t = item_of target and sc = item_of source in
@@ -160,19 +133,10 @@ module Make (P : PLANE) = struct
           let join_step (acc_set, acc_scheme, acc) s =
             Obs.span obs "join" (fun () ->
                 let node_schemes = Scheme.Set.add s acc_set in
-                if Obs.enabled obs then begin
-                  Obs.set_attr obs "algo"
-                    (Json.str (P.algo_label Physical.Hash_join));
-                  Obs.set_attr obs "scheme"
-                    (Json.str (scheme_key node_schemes))
-                end;
+                join_attrs P.join_label node_schemes;
                 let common = Attr.Set.inter acc_scheme s in
-                let it = P.join ctx Physical.Hash_join ~common acc !(item_of s) in
-                let n = P.cardinality it in
-                generated := !generated + n;
-                steps := (node_schemes, n) :: !steps;
-                P.note_step ctx n;
-                if Obs.enabled obs then Obs.set_attr obs "rows" (Json.int n);
+                let it = P.join ctx ~common acc !(item_of s) in
+                record node_schemes it;
                 (node_schemes, Attr.Set.union acc_scheme s, it))
           in
           let root = rt.Mj_hypergraph.Jointree.root in
@@ -191,15 +155,11 @@ module Make (P : PLANE) = struct
                   ~k
                   (List.map (fun (s, r) -> (s, !r)) items)
               in
-              let n = P.cardinality it in
-              generated := !generated + n;
-              steps := (node_schemes, n) :: !steps;
-              P.note_step ctx n;
               if Obs.enabled obs then begin
                 Obs.set_attr obs "scheme" (Json.str (scheme_key node_schemes));
-                Obs.set_attr obs "k" (Json.int k);
-                Obs.set_attr obs "rows" (Json.int n)
+                Obs.set_attr obs "k" (Json.int k)
               end;
+              record node_schemes it;
               (out_scheme, it))
     in
     (* The result leaves undecoded: the backend decides whether it

@@ -1,12 +1,11 @@
 (** The backend-agnostic plan walker.
 
-    Section 1's implementation argument — nested loops, existing
-    indices, pipelining — used to live twice: once in {!Exec} over seed
-    tuple lists and once in {!Frame_engine} over columnar frames, each
-    with its own copy of the span bookkeeping and the τ accounting.
-    This module keeps exactly one copy.  A data plane implements the
-    {!PLANE} signature (how to scan a base relation, how to run one join
-    step with a given algorithm, how to count rows); {!Make} supplies
+    The plan walk used to live twice: once in {!Exec} over seed tuple
+    lists and once in {!Frame_engine} over columnar frames, each with
+    its own copy of the span bookkeeping and the τ accounting.  This
+    module keeps exactly one copy.  A data plane implements the
+    {!PLANE} signature (how to scan a base relation, how to run one
+    hash-join step, how to count rows); {!Make} supplies
     the recursion over {!Physical.t}, the observability contract, and
     the per-step τ log.
 
@@ -30,27 +29,16 @@ module type PLANE = sig
 
   type item
   type ctx
-  (** Per-execution state: counters, caches, the encoded database. *)
+  (** Per-execution state: counters, the encoded database. *)
 
   val scan : ctx -> Scheme.t -> item
   (** Fetch a base relation.
       @raise Invalid_argument if the scheme is not in the database. *)
 
-  val join :
-    ctx -> Physical.algorithm -> common:Attr.Set.t -> item -> item -> item
-  (** One join step.  A plane with a single physical operator may treat
-      the algorithm annotation as advisory (the frame plane always runs
-      its columnar hash join); τ is algorithm-independent for
-      materializing execution, so results and step costs agree across
-      planes regardless. *)
-
-  val index_join :
-    ctx -> common:Attr.Set.t -> outer:item -> inner:Scheme.t -> item option
-  (** The [Index_nested_loop]-over-a-scan fast path: join [outer]
-      against the {e index} of the base relation [inner] without
-      executing the scan.  [None] means the plane keeps no
-      base-relation indexes and the driver falls back to executing the
-      scan and calling {!join}. *)
+  val join : ctx -> common:Attr.Set.t -> item -> item -> item
+  (** One hash-join step: build on the right item, probe with the left.
+      τ is algorithm-independent for materializing execution, so
+      results and step costs agree across planes. *)
 
   val generic_join :
     ctx -> schemes:Scheme.t list -> order:Attr.t list -> item
@@ -85,7 +73,9 @@ module type PLANE = sig
   (** Called with each join step's output cardinality (for plane
       counters such as the seed peak-materialization tracker). *)
 
-  val algo_label : Physical.algorithm -> string
+  val join_label : string
+  (** The [algo] attribute of this plane's binary ["join"] spans (seed:
+      ["hash"], frame: ["frame-hash"]). *)
 end
 
 type step_log = {

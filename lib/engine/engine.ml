@@ -23,11 +23,22 @@ module Config = struct
     domains : int;
     obs : Obs.sink;
     algo_policy : Planner.policy;
-    index_cache : Exec.index_cache;
     telemetry : string option;
     frame_storage : Frame.storage;
     morsel : int option;
   }
+
+  let policy_of_env = function
+    | None -> Planner.Hash_all
+    | Some s -> (
+        match Planner.policy_of_string s with
+        | Some p -> p
+        | None ->
+            failwith
+              (Printf.sprintf
+                 "MJ_ALGO_POLICY: unknown policy %S (expected hash, wcoj or \
+                  yann)"
+                 s))
 
   (* The single point of environment reads in the whole library tree:
      MJ_DATA_PLANE, MJ_DOMAINS, MJ_ALGO_POLICY, MJ_TELEMETRY,
@@ -51,13 +62,7 @@ module Config = struct
              with _ -> Some 1)
          | None -> None
        in
-       let policy =
-         match Sys.getenv_opt "MJ_ALGO_POLICY" with
-         | Some s ->
-             Option.value (Planner.policy_of_string s)
-               ~default:Planner.Hash_all
-         | None -> Planner.Hash_all
-       in
+       let policy = policy_of_env (Sys.getenv_opt "MJ_ALGO_POLICY") in
        let telemetry =
          match Sys.getenv_opt "MJ_TELEMETRY" with
          | Some s when String.trim s <> "" -> Some (String.trim s)
@@ -95,7 +100,6 @@ module Config = struct
         (match domains with Some d -> d | None -> Pool.default_domains ());
       obs;
       algo_policy = policy;
-      index_cache = Exec.index_cache ();
       telemetry;
       frame_storage;
       morsel;
@@ -140,12 +144,9 @@ end
 module Seed_backend = struct
   let plane = Seed
 
-  (* The seed plane's warm state is the config's index cache; a frame
-     encoding means nothing here. *)
+  (* A frame encoding means nothing to the seed plane. *)
   let execute ?fdb:_ (cfg : Config.t) db plan =
-    let r, (s : Exec.stats) =
-      Exec.execute ~obs:cfg.obs ~cache:cfg.index_cache db plan
-    in
+    let r, (s : Exec.stats) = Exec.execute ~obs:cfg.obs db plan in
     ( r,
       {
         plane;
@@ -194,7 +195,7 @@ let backend = function
   | Frame -> (module Frame_backend : BACKEND)
 
 let lower (cfg : Config.t) db strategy =
-  Planner.lower ~policy:cfg.algo_policy ~indexes:cfg.index_cache db strategy
+  Planner.lower ~policy:cfg.algo_policy db strategy
 
 let execute_plan ?fdb (cfg : Config.t) db plan =
   let (module B) = backend cfg.plane in

@@ -20,10 +20,7 @@ let tiny_rows = 1024
 
 (* The columnar plane, plugged into the generic Driver walker:
    intermediates are dictionary-encoded frames and every step runs the
-   one columnar hash kernel — the algorithm annotation is advisory
-   (τ and results are algorithm-independent for materializing
-   execution), and there are no base-relation indexes, so the INL fast
-   path falls back to the ordinary join. *)
+   one columnar hash kernel. *)
 module Frame_plane = struct
   let name = "frame"
   let root_span = "execute-frame"
@@ -48,7 +45,7 @@ module Frame_plane = struct
           (Printf.sprintf "Frame_engine: scheme %s not in the database"
              (Scheme.to_string s))
 
-  let join ctx _algo ~common:_ f1 f2 =
+  let join ctx ~common:_ f1 f2 =
     let probes_before = ctx.fstats.Frame.probes in
     let j =
       Frame.natural_join ~obs:ctx.obs ?domains:ctx.domains
@@ -72,8 +69,6 @@ module Frame_plane = struct
       Frame.of_relation (Frame.dict j) (Relation.make (Relation.scheme r) keep)
     end
     else j
-
-  let index_join _ctx ~common:_ ~outer:_ ~inner:_ = None
 
   let semijoin ctx ~common:_ f1 f2 =
     let sj = Frame.semijoin ~stats:ctx.fstats f1 f2 in
@@ -103,7 +98,7 @@ module Frame_plane = struct
 
   let cardinality = Frame.cardinality
   let note_step _ctx _n = ()
-  let algo_label _ = "frame-hash"
+  let join_label = "frame-hash"
 end
 
 module Drive = Driver.Make (Frame_plane)

@@ -31,8 +31,8 @@ type t =
           newly computed cardinality; reads must detect the corruption
           and bypass the entry *)
   | Estimate_oversize
-      (** the cost-based planner's estimator multiplies every estimate
-          by 1000 — plans may change, results must not *)
+      (** the yann policy's join-tree search multiplies every
+          estimate by 1000 — plans may change, results must not *)
   | Frame_lossy_join
       (** the frame plane drops the last row of every non-empty join
           output — the planted defect the self-test must catch *)

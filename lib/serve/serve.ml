@@ -5,20 +5,12 @@ module Json = Mj_obs.Json
 module Telemetry = Mj_obs.Telemetry
 module Engine = Mj_engine.Engine
 module Planner = Mj_engine.Planner
-module Exec = Mj_engine.Exec
 module Pool = Mj_pool.Pool
 module Failpoint = Mj_failpoint.Failpoint
 
 (* Per-database warm state.  The frame dictionary is built once, on
-   the first frame-plane query, and shared read-only afterwards.  Seed
-   index caches are NOT domain-safe (plain hashtables mutated by
-   execution), so the entry keeps a checkout pool: each in-flight
-   request borrows one cache exclusively and returns it warm. *)
-type db_entry = {
-  db : Database.t;
-  mutable fdb : Frame.Db.t option;
-  idle_caches : Exec.index_cache Queue.t;
-}
+   the first frame-plane query, and shared read-only afterwards. *)
+type db_entry = { db : Database.t; mutable fdb : Frame.Db.t option }
 
 type t = {
   cfg : Engine.Config.t;
@@ -120,13 +112,7 @@ let db_entry t ~key ~db =
           match Hashtbl.find_opt t.registry key with
           | Some e -> e
           | None ->
-              let e =
-                {
-                  db = materialized;
-                  fdb = None;
-                  idle_caches = Queue.create ();
-                }
-              in
+              let e = { db = materialized; fdb = None } in
               Hashtbl.add t.registry key e;
               e)
 
@@ -144,15 +130,6 @@ let frame_db t entry =
           | None ->
               entry.fdb <- Some built;
               built)
-
-let checkout_cache t entry =
-  locked t (fun () ->
-      match Queue.take_opt entry.idle_caches with
-      | Some c -> c
-      | None -> Exec.index_cache ())
-
-let checkin_cache t entry cache =
-  locked t (fun () -> Queue.push cache entry.idle_caches)
 
 (* ------------------------------------------------------------------ *)
 (* Query execution                                                     *)
@@ -212,17 +189,8 @@ let submit_query t ?id ?obs ?plane ?strategy ?policy ~key ~db () =
         | Some _ -> "serve.plan_cache_hit"
         | None -> "serve.plan_cache_miss")
         (fun () -> ());
-      let cache = checkout_cache t entry in
-      Fun.protect ~finally:(fun () -> checkin_cache t entry cache)
-      @@ fun () ->
       let cfg_req =
-        {
-          t.cfg with
-          Engine.Config.plane;
-          algo_policy = policy;
-          index_cache = cache;
-          obs;
-        }
+        { t.cfg with Engine.Config.plane; algo_policy = policy; obs }
       in
       let plan =
         match cached with
@@ -442,6 +410,10 @@ module Reader = struct
             Buffer.add_subbytes r.buf chunk 0 k;
             true
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+            (* A reset peer is the end of this connection's input. *)
+            r.eof <- true;
+            false
 
   let rec next_line r ~block =
     match take_line r with
@@ -456,16 +428,24 @@ module Reader = struct
         else None
 end
 
+(* [false] when the peer has gone away (EPIPE/ECONNRESET): the end of
+   this one connection, never of the daemon. *)
 let write_all fd s =
   let b = Bytes.of_string s in
   let len = Bytes.length b in
   let rec go off =
-    if off < len then
-      match Unix.write fd b off (len - off) with
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+    off >= len
+    ||
+    match Unix.write fd b off (len - off) with
+    | k -> go (off + k)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false
   in
   go 0
+
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+  with Invalid_argument _ | Sys_error _ -> ()
 
 let serve_fd t fd_in fd_out =
   let reader = Reader.create fd_in in
@@ -482,8 +462,8 @@ let serve_fd t fd_in fd_out =
             | None -> continue := false
           done;
           let responses = handle_batch t (List.rev !batch) in
-          write_all fd_out (String.concat "\n" responses ^ "\n");
-          loop ()
+          if write_all fd_out (String.concat "\n" responses ^ "\n") then
+            loop ()
   in
   loop ()
 
@@ -498,6 +478,7 @@ let listen_and_serve t addr =
       (try Unix.close sock with _ -> ());
       unlink_unix ())
   @@ fun () ->
+  ignore_sigpipe ();
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   unlink_unix ();
   Unix.bind sock addr;

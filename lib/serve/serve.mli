@@ -4,11 +4,9 @@
     format that keeps warm state alive across queries:
 
     - a {e database registry} keyed by {!Protocol.workload_key} —
-      materialized databases, their frame-plane dictionary encodings
-      ([Frame.Db.of_database], built once and shared read-only by
-      concurrent executions), and a checkout pool of seed-plane index
-      caches (an [Exec.index_cache] is not domain-safe, so each
-      in-flight request borrows one exclusively and returns it);
+      materialized databases and their frame-plane dictionary
+      encodings ([Frame.Db.of_database], built once and shared
+      read-only by concurrent executions);
     - a bounded LRU {e plan cache} ({!Plan_cache}) keyed on
       [(stats epoch, plane, policy, workload, strategy)] — hit/miss
       counters surface as the [Mj_obs] counters
@@ -123,12 +121,21 @@ val serve_fd : t -> Unix.file_descr -> Unix.file_descr -> unit
     [shutdown] op, or {!request_stop}.  Consecutive already-buffered
     lines are batched through {!handle_batch} (so piped workloads
     exercise admission control); responses are written in request
-    order and flushed per batch. *)
+    order and flushed per batch.  A peer that resets the connection or
+    closes it before reading (ECONNRESET/EPIPE) ends this call
+    normally; the caller must ignore SIGPIPE ({!ignore_sigpipe}) for
+    the write error to surface instead of killing the process. *)
+
+val ignore_sigpipe : unit -> unit
+(** Ignore SIGPIPE process-wide, so a write to a vanished client fails
+    with EPIPE instead of killing the daemon.  {!listen_and_serve}
+    calls it; [mjoin serve] calls it on the stdin path too. *)
 
 val listen_and_serve : t -> Unix.sockaddr -> unit
 (** Bind, listen and accept one client at a time, running {!serve_fd}
     per connection, until a client sends [shutdown] or
-    {!request_stop}.  Unix-domain socket paths are unlinked on bind
+    {!request_stop}.  A client that disconnects mid-stream ends only
+    its own connection.  Unix-domain socket paths are unlinked on bind
     and on exit. *)
 
 val sockaddr_of_listen : string -> (Unix.sockaddr, string) result

@@ -17,7 +17,7 @@ trap 'rm -rf "$TMP"' EXIT
 # Observability: EXPLAIN ANALYZE trees and JSONL trace export.
 "$MJOIN" explain --scenario university > /dev/null
 "$MJOIN" explain --scenario ex1 --strategy '(AB * BC) * (DE * FG)' \
-  --algo hash --trace "$TMP/explain.jsonl" > /dev/null
+  --trace "$TMP/explain.jsonl" > /dev/null
 test -s "$TMP/explain.jsonl"
 "$MJOIN" explain --shape chain --size 5 --regime skewed > /dev/null
 "$MJOIN" optimize --shape star --size 6 --trace "$TMP/opt.jsonl" > /dev/null
@@ -25,16 +25,16 @@ test -s "$TMP/opt.jsonl"
 grep -q 'opt.pairs_inspected' "$TMP/opt.jsonl"
 
 # Unified engine flags (--engine / --domains / --policy) on every
-# executing subcommand, both planes, both lowering policies.
-"$MJOIN" explain --scenario ex1 --engine frame --policy cost > /dev/null
-"$MJOIN" explain --scenario ex1 --engine seed --policy cost --domains 2 \
-  | grep -q 'lowered (cost, seed plane)'
+# executing subcommand, both planes, the lowering policies.
+"$MJOIN" explain --scenario ex1 --engine frame --policy hash > /dev/null
+"$MJOIN" explain --scenario ex1 --engine seed --policy yann --domains 2 \
+  | grep -q 'lowered (yann, seed plane)'
 "$MJOIN" explain --shape chain -n 4 --regime skewed --engine frame \
   | grep -q 'frame plane'
 "$MJOIN" verify --scenario ex3 --engine frame --domains 2 \
   | grep -q 'engine: frame plane, 2 domains'
-"$MJOIN" optimize --shape star -n 5 --engine frame --policy cost \
-  | grep -q 'executed (frame plane, cost lowering)'
+"$MJOIN" optimize --shape star -n 5 --engine frame --policy yann \
+  | grep -q 'executed (frame plane, yann lowering)'
 "$MJOIN" optimize --shape chain -n 4 --engine seed \
   | grep -q 'executed (seed plane, hash lowering)'
 MJ_DATA_PLANE=frame "$MJOIN" explain --scenario ex1 | grep -q 'frame plane'
@@ -137,6 +137,11 @@ if "$MJOIN" query "$TMP/db.txt" 'Q(x) :- nosuch(x,y).' > /dev/null 2>&1; then ex
 if "$MJOIN" explain --scenario ex1 --engine columnar > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" explain --scenario ex1 --storage mmap > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" explain --scenario ex1 --policy greedy > /dev/null 2>&1; then exit 1; fi
+# The retired cost policy and forced algorithms are gone, in every spelling.
+if "$MJOIN" explain --scenario ex1 --policy cost > /dev/null 2>&1; then exit 1; fi
+if "$MJOIN" explain --scenario ex1 --algo nl > /dev/null 2>&1; then exit 1; fi
+if MJ_ALGO_POLICY=cost "$MJOIN" explain --scenario ex1 > /dev/null 2>&1; then exit 1; fi
+MJ_ALGO_POLICY=cost "$MJOIN" explain --scenario ex1 2>&1 | grep -q 'MJ_ALGO_POLICY'
 if "$MJOIN" verify --scenario ex3 --engine bogus > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" optimize --shape chain -n 4 --policy bogus > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" bench-diff "$TMP/db.txt" > /dev/null 2>&1; then exit 1; fi
@@ -150,9 +155,9 @@ if "$MJOIN" topk --shape star --size 4 --limit x > /dev/null 2>&1; then exit 1; 
 # in a later batch (the sleeps split the read loop's batches), so it
 # must hit the warm plan cache; stats rides along; shutdown drains.
 {
-  echo '{"id":1,"op":"query","shape":"chain","n":4,"rows":20,"domain":8,"policy":"cost"}'
+  echo '{"id":1,"op":"query","shape":"chain","n":4,"rows":20,"domain":8,"policy":"hash"}'
   sleep 0.3
-  echo '{"id":2,"op":"query","shape":"chain","n":4,"rows":20,"domain":8,"policy":"cost"}'
+  echo '{"id":2,"op":"query","shape":"chain","n":4,"rows":20,"domain":8,"policy":"hash"}'
   sleep 0.3
   echo '{"id":3,"op":"stats"}'
   echo '{"id":4,"op":"shutdown"}'
@@ -175,6 +180,14 @@ echo '{not json' | "$MJOIN" serve 2> /dev/null \
   | grep -q '"code":"bad_request"'
 echo '{"op":"query","policy":"greedy-banana"}' | "$MJOIN" serve 2> /dev/null \
   | grep -q '"status":"error"'
+# A served "policy":"cost" is an error for that request alone: the next
+# line is still answered.
+{
+  echo '{"id":1,"op":"query","shape":"chain","n":3,"rows":5,"domain":4,"policy":"cost"}'
+  echo '{"id":2,"op":"query","shape":"chain","n":3,"rows":5,"domain":4,"policy":"hash"}'
+} | "$MJOIN" serve > "$TMP/serve-cost.out" 2> /dev/null
+test "$(grep -c '"status":"error"' "$TMP/serve-cost.out")" = 1
+grep '"id":2' "$TMP/serve-cost.out" | grep -q '"status":"ok"'
 # Admission control: a zero queue cap sheds every query (flag and
 # MJ_SERVE_* spellings) while control ops still answer.
 echo '{"op":"query"}' | "$MJOIN" serve --queue-cap 0 2> /dev/null \

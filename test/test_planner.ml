@@ -2,11 +2,9 @@
 
    The contract under test is the one the Engine docs state: lowering
    policy and data plane are execution details — for any strategy, every
-   policy (hash-everywhere, cost-based, every forced algorithm) on both
-   planes produces the identical result relation, generates exactly
-   Cost.tau tuples, and reproduces Cost.step_costs step by step.  The
-   cost-based chooser itself is pinned down on a hand-built database
-   where each of the five algorithms has a region it must win. *)
+   policy on both planes produces the identical result relation, and a
+   binary (hash) plan generates exactly Cost.tau tuples and reproduces
+   Cost.step_costs step by step. *)
 
 open Mj_relation
 open Mj_hypergraph
@@ -15,7 +13,6 @@ module Dbgen = Mj_workload.Dbgen
 module Engine = Mj_engine.Engine
 module Planner = Mj_engine.Planner
 module Physical = Mj_engine.Physical
-module Exec = Mj_engine.Exec
 
 let qtest name ?(count = 100) gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
@@ -50,16 +47,7 @@ let gen_case =
   let s = Enumerate.random_strategy ~rng d in
   return (db, s)
 
-let policies =
-  [
-    Planner.Hash_all;
-    Planner.Cost_based;
-    Planner.Forced Physical.Nested_loop;
-    Planner.Forced (Physical.Block_nested_loop 3);
-    Planner.Forced Physical.Hash_join;
-    Planner.Forced Physical.Sort_merge;
-    Planner.Forced Physical.Index_nested_loop;
-  ]
+let policies = [ Planner.Hash_all; Planner.Wcoj; Planner.Yannakakis ]
 
 let planes = [ Engine.Seed; Engine.Frame ]
 
@@ -67,103 +55,50 @@ let planes = [ Engine.Seed; Engine.Frame ]
 (* The equivalence property                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Every policy × plane: same result, τ tuples generated, per-step
-   cardinalities identical to Cost.step_costs, strategy recoverable
-   from the lowered plan. *)
+(* Every policy × plane: same result.  A binary plan additionally
+   generates τ tuples with per-step cardinalities identical to
+   Cost.step_costs and recovers the strategy; the n-ary nodes price
+   their own steps, so there the planes must agree with each other. *)
 let equivalence (db, s) =
   let expected = Cost.eval db s in
   let tau = Cost.tau db s in
   let steps = List.map snd (Cost.step_costs db s) in
   List.for_all
     (fun policy ->
+      let runs =
+        List.map
+          (fun plane ->
+            let cfg = Engine.Config.make ~plane ~domains:2 ~policy () in
+            let plan = Engine.lower cfg db s in
+            (plane, plan, Engine.execute_plan cfg db plan))
+          planes
+      in
       List.for_all
-        (fun plane ->
-          let cfg = Engine.Config.make ~plane ~domains:2 ~policy () in
-          let plan = Engine.lower cfg db s in
-          let r, stats = Engine.execute_plan cfg db plan in
-          Strategy.equal (Physical.strategy_of plan) s
-          && Relation.equal r expected
+        (fun (plane, plan, (r, stats)) ->
+          let binary =
+            match plan with
+            | Physical.Scan _ | Physical.Join _ -> true
+            | Physical.Generic_join _ | Physical.Semijoin_program _
+            | Physical.Ranked_enumerate _ ->
+                false
+          in
+          let _, _, (_, first) = List.hd runs in
+          Relation.equal r expected
           && stats.Engine.plane = plane
-          && stats.Engine.tuples_generated = tau
           && stats.Engine.result_rows = Relation.cardinality expected
-          && List.map snd stats.Engine.per_step = steps)
-        planes)
+          && stats.Engine.per_step = first.Engine.per_step
+          && ((not binary)
+             || Strategy.equal (Physical.strategy_of plan) s
+                && stats.Engine.tuples_generated = tau
+                && List.map snd stats.Engine.per_step = steps))
+        runs)
     policies
 
-(* Lowering is a pure function of (database, strategy, warm indexes). *)
+(* Lowering is a pure function of (database, strategy): the yann
+   policy's catalog-priced join-tree choice included. *)
 let deterministic_lowering (db, s) =
-  let lower () = Planner.lower ~policy:Planner.Cost_based db s in
+  let lower () = Planner.lower ~policy:Planner.Yannakakis db s in
   Physical.to_string (lower ()) = Physical.to_string (lower ())
-
-(* ------------------------------------------------------------------ *)
-(* The cost-based chooser: every algorithm has a winning region         *)
-(* ------------------------------------------------------------------ *)
-
-(* 400-row relations with 2-valued join columns make hash's duplicate
-   penalty enormous; a 1-row outer makes the plain nested loop cheapest
-   of the loop joins; disjoint schemes force loop joins outright; EF's
-   key-like E column plus a warmed index makes probe-only INL beat
-   rebuilding a hash table. *)
-let coverage_db () =
-  Database.of_relations
-    [
-      Relation.of_rows "A" [ [ Value.int 0 ] ];
-      Relation.of_rows "BC"
-        (List.init 400 (fun i -> [ Value.int (i mod 2); Value.int i ]));
-      Relation.of_rows "CD"
-        (List.init 400 (fun i -> [ Value.int i; Value.int (i mod 2) ]));
-      Relation.of_rows "DE"
-        (List.init 400 (fun i -> [ Value.int (i mod 2); Value.int i ]));
-      Relation.of_rows "EF"
-        (List.init 30 (fun i -> [ Value.int i; Value.int i ]));
-    ]
-
-let cost_algos ?indexes db src =
-  String.concat ","
-    (List.map Physical.algorithm_name
-       (Physical.algorithms
-          (Planner.lower ~policy:Planner.Cost_based ?indexes db
-             (Strategy.of_string src))))
-
-let test_algorithm_coverage () =
-  let db = coverage_db () in
-  Alcotest.(check string) "Cartesian step, 1-row outer: nested loop" "nl"
-    (cost_algos db "A * DE");
-  Alcotest.(check string) "Cartesian step, wide outer: block nested loop"
-    (Printf.sprintf "bnl%d" Planner.block_size)
-    (cost_algos db "BC * DE");
-  Alcotest.(check string) "key-like join column: hash" "hash"
-    (cost_algos db "BC * CD");
-  Alcotest.(check string)
-    "duplicate-heavy probe side: sort-merge beats hash's dup penalty"
-    "merge,hash"
-    (cost_algos db "(BC * CD) * DE");
-  let cache = Exec.index_cache () in
-  Alcotest.(check string) "cold index: INL not worth a probe surcharge"
-    "hash"
-    (cost_algos ~indexes:cache db "DE * EF");
-  Exec.prime_index cache db (Scheme.of_string "EF") ~on:(Scheme.of_string "E");
-  Alcotest.(check bool) "prime_index registers the index" true
-    (Exec.has_index cache (Scheme.of_string "EF") ~on:(Scheme.of_string "E"));
-  Alcotest.(check string) "warm index on the inner base relation: INL" "inl"
-    (cost_algos ~indexes:cache db "DE * EF")
-
-(* The warm-index plan really probes the cache: a second execution
-   through the same config counts an index hit and no build. *)
-let test_warm_index_execution () =
-  let db = coverage_db () in
-  let cfg = Engine.Config.make ~plane:Engine.Seed ~policy:Planner.Cost_based () in
-  Exec.prime_index cfg.Engine.Config.index_cache db (Scheme.of_string "EF")
-    ~on:(Scheme.of_string "E");
-  let s = Strategy.of_string "DE * EF" in
-  let plan = Engine.lower cfg db s in
-  Alcotest.(check string) "lowered to INL" "inl"
-    (String.concat "," (List.map Physical.algorithm_name (Physical.algorithms plan)));
-  let _, stats = Engine.execute_plan cfg db plan in
-  let seed = Option.get stats.Engine.seed in
-  Alcotest.(check int) "no index build (the cache was warm)" 0
-    seed.Exec.index_builds;
-  Alcotest.(check int) "one index hit" 1 seed.Exec.index_hits
 
 (* ------------------------------------------------------------------ *)
 (* Config                                                               *)
@@ -172,12 +107,12 @@ let test_warm_index_execution () =
 let test_config_overrides () =
   let cfg =
     Engine.Config.make ~plane:Engine.Frame ~domains:3
-      ~policy:Planner.Cost_based ()
+      ~policy:Planner.Yannakakis ()
   in
   Alcotest.(check string) "plane override" "frame"
     (Engine.plane_name cfg.Engine.Config.plane);
   Alcotest.(check int) "domains override" 3 cfg.Engine.Config.domains;
-  Alcotest.(check string) "policy override" "cost"
+  Alcotest.(check string) "policy override" "yann"
     (Planner.policy_name cfg.Engine.Config.algo_policy);
   Alcotest.(check bool) "backend follows the plane" true
     (Engine.Config.backend cfg = Cost.Cache.Frame);
@@ -197,12 +132,26 @@ let test_parsing () =
     (Engine.plane_of_string "columnar" = None);
   Alcotest.(check bool) "policy: hash" true
     (Planner.policy_of_string "hash" = Some Planner.Hash_all);
-  Alcotest.(check bool) "policy: cost" true
-    (Planner.policy_of_string " COST " = Some Planner.Cost_based);
+  Alcotest.(check bool) "policy: yann" true
+    (Planner.policy_of_string " YANN " = Some Planner.Yannakakis);
+  Alcotest.(check bool) "policy: retired cost rejected" true
+    (Planner.policy_of_string "cost" = None);
   Alcotest.(check bool) "policy: junk rejected" true
-    (Planner.policy_of_string "greedy" = None);
-  Alcotest.(check string) "forced policy name" "forced-bnl3"
-    (Planner.policy_name (Planner.Forced (Physical.Block_nested_loop 3)))
+    (Planner.policy_of_string "greedy" = None)
+
+(* An unknown MJ_ALGO_POLICY must stop the process, not quietly run
+   hash: the retired "cost" included. *)
+let test_unknown_env_policy () =
+  Alcotest.(check bool) "unset: hash" true
+    (Engine.Config.policy_of_env None = Planner.Hash_all);
+  Alcotest.(check bool) "wcoj" true
+    (Engine.Config.policy_of_env (Some "wcoj") = Planner.Wcoj);
+  List.iter
+    (fun v ->
+      match Engine.Config.policy_of_env (Some v) with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.failf "MJ_ALGO_POLICY=%s was accepted" v)
+    [ "cost"; "greedy"; "" ]
 
 (* Frame executions are deterministic in the domain count through the
    full Config → lower → execute path. *)
@@ -230,18 +179,13 @@ let () =
           qtest "cost-based lowering is deterministic" ~count:60 gen_case
             deterministic_lowering;
         ] );
-      ( "chooser",
-        [
-          Alcotest.test_case "each algorithm wins its region" `Quick
-            test_algorithm_coverage;
-          Alcotest.test_case "warm-index INL probes without building" `Quick
-            test_warm_index_execution;
-        ] );
       ( "config",
         [
           Alcotest.test_case "explicit overrides beat the environment" `Quick
             test_config_overrides;
           Alcotest.test_case "plane and policy parsing" `Quick test_parsing;
+          Alcotest.test_case "unknown MJ_ALGO_POLICY fails loudly" `Quick
+            test_unknown_env_policy;
           Alcotest.test_case "frame plane: domain-count determinism" `Quick
             test_frame_domain_determinism;
         ] );

@@ -127,7 +127,7 @@ let spec_of_rng rng =
   let rows = 4 + Random.State.int rng 8 in
   let domain = 3 + Random.State.int rng 4 in
   let seed = Random.State.int rng 1000 in
-  let policies = [| Planner.Hash_all; Planner.Cost_based |] in
+  let policies = [| Planner.Hash_all; Planner.Yannakakis |] in
   let policy = policies.(Random.State.int rng (Array.length policies)) in
   let plane = if Random.State.bool rng then Engine.Seed else Engine.Frame in
   {
@@ -582,6 +582,60 @@ let test_digest_and_decode_spans () =
     [ "execute-frame"; "decode" ]
     (List.map (fun (t : Obs.span_tree) -> t.Obs.name) (Obs.trace sink))
 
+(* ------------------------------------------------------------------ *)
+(* Disconnects                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let read_all fd =
+  let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents buf
+    | k ->
+        Buffer.add_subbytes buf chunk 0 k;
+        go ()
+  in
+  go ()
+
+(* A client that pipelines 200 queries and hangs up before reading a
+   single response: the daemon's write hits EPIPE, which must end that
+   connection alone — [serve_fd] returns normally and the next
+   connection is answered.  Every request is buffered before [serve_fd]
+   starts, so there is no timing to race. *)
+let test_client_hangup () =
+  Serve.ignore_sigpipe ();
+  let srv = mk_serve ~queue_cap:256 () in
+  let spec =
+    {
+      workload = { Protocol.default_workload with rows = 6 };
+      policy = Planner.Hash_all;
+      plane = Engine.Seed;
+    }
+  in
+  let lines =
+    String.concat "" (List.init 200 (fun i -> request_line ~id:i spec ^ "\n"))
+  in
+  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let written =
+    Unix.write_substring client lines 0 (String.length lines)
+  in
+  Alcotest.(check int) "all 200 requests buffered" (String.length lines) written;
+  Unix.close client;
+  Serve.serve_fd srv server server;
+  Unix.close server;
+  Alcotest.(check bool) "daemon still running" false (Serve.stopped srv);
+  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let line = request_line ~id:1000 spec ^ "\n" in
+  ignore (Unix.write_substring client line 0 (String.length line));
+  Unix.shutdown client Unix.SHUTDOWN_SEND;
+  Serve.serve_fd srv server server;
+  Unix.close server;
+  let reply = String.trim (read_all client) in
+  Unix.close client;
+  Alcotest.(check string) "second connection answered" "ok" (status reply);
+  Alcotest.(check (option int)) "answer carries its id" (Some 1000)
+    (Option.bind (Json.of_string_opt reply) (int_field "id"))
+
 let () =
   Alcotest.run "serve"
     [
@@ -621,5 +675,7 @@ let () =
           Alcotest.test_case "malformed request" `Quick test_malformed_request;
           Alcotest.test_case "unknown policy" `Quick test_unknown_policy;
           Alcotest.test_case "ping and stats" `Quick test_ping_and_stats;
+          Alcotest.test_case "client hangup ends only its connection" `Quick
+            test_client_hangup;
         ] );
     ]
